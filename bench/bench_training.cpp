@@ -159,7 +159,7 @@ int main() {
   const FitResult gan_l = run(gan_legacy, nn::TrainingBackend::Legacy);
 
   core::CganOptions gan_shard_opts = gan_opts;
-  gan_shard_opts.train_shards = 0;  // auto: one shard per pool worker
+  gan_shard_opts.train_shards = 0;  // auto: one shard per pool participant
   core::ConditionalGAN gan_sharded(inv_dim, var_dim, gan_shard_opts, 7);
   const FitResult gan_s = run(gan_sharded, nn::TrainingBackend::Packed);
 

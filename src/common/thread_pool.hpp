@@ -1,17 +1,32 @@
-// fsda::common -- fixed-size thread pool and parallel_for.
+// fsda::common -- fork-join thread pool behind parallel_for (DESIGN.md §7).
 //
-// Used for trial-level parallelism in the experiment runner and tree-level
-// parallelism in the random forest.  Tasks must not throw across the pool
-// boundary unobserved: parallel_for captures the first exception raised by
-// any chunk and rethrows it on the calling thread.
+// The parallel regions this pool runs are small: a training step opens a few
+// dozen GEMM regions of tens of microseconds each, so the fork and the join
+// must cost far less than waking a parked thread.  Three choices get there:
+//   - the calling thread is a participant: it runs chunk 0 itself while the
+//     other chunks go to the workers, so global() holds nproc - 1 workers
+//     and a region never oversubscribes the cores (zero workers on a 1-vCPU
+//     host, where every region runs inline);
+//   - a worker that runs out of tasks spins for a bounded window on an
+//     atomic queued count before it parks on the condition variable, so the
+//     next region of a busy loop finds it awake;
+//   - the caller waits on one atomic completion counter and never parks.
+// Both spins run in bursts of `pause` that end in a yield, so a thread that
+// needs the core (a serving worker woken by a request) gets it at once.
+// A chunk is a plain posted task (no packaged_task, no future); the first
+// exception a chunk throws is captured and rethrown on the calling thread
+// after every chunk has finished.  submit() keeps the future-returning
+// interface for one-off tasks.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -23,8 +38,9 @@ namespace fsda::common {
 /// A fixed pool of worker threads executing queued tasks FIFO.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (defaults to hardware concurrency, at least 1).
-  explicit ThreadPool(std::size_t threads = 0);
+  /// Spawns exactly `workers` threads.  Zero is valid: submitted tasks and
+  /// parallel regions then run on the calling thread.
+  explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -37,29 +53,43 @@ class ThreadPool {
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
     std::future<R> fut = task->get_future();
+    if (workers_.empty()) {
+      (*task)();
+      return fut;
+    }
+    std::size_t wake = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      // The enqueue timestamp feeds the pool.queue_wait_ms histogram; it
-      // is only taken (and later consumed) while telemetry is enabled.
-      queue_.push_back(
-          {[task] { (*task)(); },
-           obs::telemetry_enabled() ? std::chrono::steady_clock::now()
-                                    : std::chrono::steady_clock::time_point{}});
+      queue_.push_back({[task] { (*task)(); }, enqueue_stamp()});
+      wake = enqueued_locked(1);
     }
-    cv_.notify_one();
+    wake_parked(wake);
     return fut;
   }
 
-  std::size_t size() const { return workers_.size(); }
+  /// Runs body(begin, end) over [0, n) split into min(concurrency(), n)
+  /// contiguous chunks and blocks until all finish.  The caller runs chunk
+  /// 0 with in_worker() true; the rest go to the workers.  Rethrows the
+  /// first exception any chunk raised.  Called from a pool worker (or from
+  /// inside a chunk), or on a pool without workers, the whole range runs
+  /// inline as one chunk.
+  void parallel_for_chunked(
+      std::size_t n,
+      const std::function<void(std::size_t begin, std::size_t end)>& body);
 
-  /// True when the calling thread is one of this process's pool workers.
-  /// parallel_for uses it to run nested invocations inline instead of
-  /// re-submitting to the pool, which would deadlock a saturated pool (a
-  /// worker blocking on futures only other workers can drain) and
-  /// oversubscribe otherwise.
+  /// Threads that run a parallel region's chunks: the workers plus the
+  /// calling thread.
+  std::size_t concurrency() const { return workers_.size() + 1; }
+
+  /// True on a pool worker, and on any thread while it runs chunk 0 of a
+  /// region.  parallel_for uses it to run nested regions inline instead of
+  /// re-submitting to the pool, which could deadlock (a worker waiting on
+  /// chunks that only other, equally waiting, workers can run) and would
+  /// oversubscribe the cores.
   static bool in_worker();
 
-  /// Process-wide shared pool (lazily constructed).
+  /// Process-wide shared pool with hardware_concurrency() - 1 workers
+  /// (lazily constructed).
   static ThreadPool& global();
 
  private:
@@ -70,21 +100,33 @@ class ThreadPool {
     std::chrono::steady_clock::time_point enqueued;
   };
 
+  static std::chrono::steady_clock::time_point enqueue_stamp() {
+    return obs::telemetry_enabled() ? std::chrono::steady_clock::now()
+                                    : std::chrono::steady_clock::time_point{};
+  }
+
+  /// Publishes `added` newly queued tasks to spinning workers and returns
+  /// how many parked workers to wake.  Caller holds mutex_.
+  std::size_t enqueued_locked(std::size_t added);
+  void wake_parked(std::size_t count);
   void worker_loop();
 
-  std::vector<std::thread> workers_;
-  std::deque<Task> queue_;
   std::mutex mutex_;
+  std::deque<Task> queue_;           // guarded by mutex_
+  std::size_t parked_ = 0;           // workers in cv_.wait; guarded by mutex_
+  bool stopping_ = false;            // guarded by mutex_
   std::condition_variable cv_;
-  bool stopping_ = false;
+  /// queue_.size(), stored under mutex_ and polled lock-free by spinning
+  /// workers.
+  std::atomic<std::size_t> queued_{0};
+  std::vector<std::thread> workers_;
 };
 
 /// Runs body(i) for i in [0, n) across the global pool, blocking until all
-/// iterations finish.  Rethrows the first exception observed.  When n is
-/// small or the pool has one thread, runs inline.
+/// iterations finish.  Rethrows the first exception observed.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-/// Like parallel_for but hands each worker a contiguous [begin, end) chunk.
+/// ThreadPool::global().parallel_for_chunked(n, body).
 void parallel_for_chunked(
     std::size_t n,
     const std::function<void(std::size_t begin, std::size_t end)>& body);

@@ -55,7 +55,8 @@ struct CganOptions {
   std::size_t snapshot_every = 10;
   /// Data-parallel minibatch shards (nn/sharded.hpp): 1 = single shard
   /// (preserves the exact pre-sharding numeric trajectory), 0 = auto (one
-  /// shard per pool worker, each keeping >= 16 rows), N = at most N shards.
+  /// shard per region participant, each keeping >= 16 rows), N = at most N
+  /// shards.
   std::size_t train_shards = 1;
   /// Execute shards on the global ThreadPool; serial execution of the same
   /// shard count is bitwise identical (deterministic tree reduction).

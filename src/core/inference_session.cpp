@@ -354,10 +354,11 @@ void InferenceSession::reserve_batch(std::size_t rows) {
       break;
     }
   }
-  // One chunk workspace per pool worker (plus the serial caller); each is
-  // reserved for the full row count, which no chunk can exceed.
+  // One chunk workspace per region participant (the pool workers plus the
+  // calling thread); each is reserved for the full row count, which no
+  // chunk can exceed.
   const std::size_t want =
-      threading_enabled_ ? common::ThreadPool::global().size() + 1 : 1;
+      threading_enabled_ ? common::ThreadPool::global().concurrency() : 1;
   std::lock_guard<std::mutex> lk(ctx_mu_);
   while (ctx_pool_.size() < want) {
     ctx_pool_.push_back(std::make_unique<Ctx>());

@@ -67,10 +67,6 @@ void apply_transcendental(MatrixView out, GemmAct act) {
   }
 }
 
-// Same threshold as the blocked kernels (kernels.cpp): below it the pool
-// dispatch overhead outweighs the work.
-constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 18;
-
 void check_grad_weight_shapes(ConstMatrixView a, ConstMatrixView dy,
                               MatrixView dw) {
   FSDA_CHECK_MSG(a.rows() == dy.rows(),

@@ -4,14 +4,11 @@
 #include <cmath>
 
 #include "common/thread_pool.hpp"
+#include "la/gemm.hpp"
 
 namespace fsda::la {
 
 namespace {
-
-// Parallelise a matmul once it exceeds roughly a quarter-million
-// multiply-adds; below that the pool fork/join overhead dominates.
-constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 18;
 
 // k-blocking keeps the active panel of B resident in cache while four
 // output rows are accumulated.

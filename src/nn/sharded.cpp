@@ -13,7 +13,7 @@ namespace fsda::nn {
 std::size_t resolve_shard_count(std::size_t requested, std::size_t rows,
                                 std::size_t min_rows_per_shard) {
   std::size_t count =
-      requested == 0 ? common::ThreadPool::global().size() : requested;
+      requested == 0 ? common::ThreadPool::global().concurrency() : requested;
   if (min_rows_per_shard > 0) {
     count = std::min(count, rows / min_rows_per_shard);
   }

@@ -18,8 +18,18 @@
 // Blocking waits go through one shared condition variable -- waiting is
 // the cold path (a worker only sleeps when the queue is EMPTY, where
 // contention is definitionally absent), so the cv does not shard.
-// depth() is one relaxed atomic load, which is what admission control and
-// the batch policy consume on their hot paths.
+// depth() is one atomic load, which is what admission control and the
+// batch policy consume on their hot paths.
+//
+// Invariants:
+//   - depth() counts an item from the start of the push that adds it to
+//     the end of the try_pop that takes it, so it never underflows: push
+//     raises depth_ BEFORE the item becomes visible in its shard, and a
+//     consumer only lowers it for items whose rise already happened.
+//   - No lost wakeup: push passes through wait_mu_ between publishing the
+//     item and notifying, so a consumer is either before its predicate
+//     check (and sees the new depth) or already blocked in wait (and gets
+//     the notify).
 #pragma once
 
 #include <atomic>
@@ -48,11 +58,15 @@ class ShardedQueue {
   bool push(T item) {
     if (closed_.load(std::memory_order_acquire)) return false;
     Shard& s = *shards_[next_ticket(push_ticket_)];
-    {
+    depth_.fetch_add(1, std::memory_order_relaxed);
+    try {
       std::lock_guard<std::mutex> lk(s.mu);
       s.items.push_back(std::move(item));
+    } catch (...) {
+      depth_.fetch_sub(1, std::memory_order_relaxed);
+      throw;
     }
-    depth_.fetch_add(1, std::memory_order_release);
+    { std::lock_guard<std::mutex> lk(wait_mu_); }
     cv_.notify_one();
     return true;
   }
@@ -73,7 +87,8 @@ class ShardedQueue {
         ++taken;
       }
     }
-    if (taken > 0) depth_.fetch_sub(taken, std::memory_order_release);
+    // The shard mutex orders every taken item's depth_ rise before this.
+    if (taken > 0) depth_.fetch_sub(taken, std::memory_order_relaxed);
     return taken;
   }
 
@@ -109,8 +124,8 @@ class ShardedQueue {
     return closed_.load(std::memory_order_acquire);
   }
 
-  /// Items currently queued; one relaxed-ish atomic load (admission
-  /// control's hot path).
+  /// Items currently queued, counting pushes still in flight; one atomic
+  /// load (admission control's hot path).
   [[nodiscard]] std::size_t depth() const {
     return depth_.load(std::memory_order_acquire);
   }

@@ -1,11 +1,14 @@
 // Tests for fsda::common -- RNG determinism and statistics, CSV handling,
-// env parsing, thread pool semantics, and the error macros.
+// env parsing, thread pool and fork-join semantics, and the error macros.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,6 +19,8 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
+#include "la/gemm.hpp"
+#include "la/matrix.hpp"
 
 namespace fsda::common {
 namespace {
@@ -236,6 +241,165 @@ TEST(ParallelForTest, NestedCallsRunInlineOnTheCallingWorker) {
   });
   EXPECT_TRUE(fut.get());
   EXPECT_FALSE(ThreadPool::in_worker());
+}
+
+TEST(ForkJoinTest, ExceptionInCallersChunkPropagatesAfterAllChunksRun) {
+  ThreadPool pool(3);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> chunks_run{0};
+  bool thrown_on_caller = false;
+  EXPECT_THROW(pool.parallel_for_chunked(
+                   64,
+                   [&](std::size_t begin, std::size_t) {
+                     chunks_run.fetch_add(1);
+                     if (begin == 0) {
+                       thrown_on_caller =
+                           std::this_thread::get_id() == caller;
+                       throw NumericError("caller chunk");
+                     }
+                   }),
+               NumericError);
+  EXPECT_TRUE(thrown_on_caller);
+  // The caller still waited for the workers' chunks before rethrowing.
+  EXPECT_EQ(chunks_run.load(), 4);
+}
+
+TEST(ForkJoinTest, ExceptionInWorkersChunkPropagatesToCaller) {
+  ThreadPool pool(3);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> thrown_on_worker{false};
+  EXPECT_THROW(pool.parallel_for_chunked(
+                   64,
+                   [&](std::size_t begin, std::size_t) {
+                     if (begin == 48) {
+                       thrown_on_worker =
+                           std::this_thread::get_id() != caller;
+                       throw ArgumentError("worker chunk");
+                     }
+                   }),
+               ArgumentError);
+  EXPECT_TRUE(thrown_on_worker.load());
+  // The pool stays usable after a failed region.
+  std::atomic<std::size_t> total{0};
+  pool.parallel_for_chunked(64, [&](std::size_t b, std::size_t e) {
+    total.fetch_add(e - b);
+  });
+  EXPECT_EQ(total.load(), 64u);
+}
+
+TEST(ForkJoinTest, ConcurrentCallersOnGlobalPoolEachCoverTheirRange) {
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kN = 1000;
+  constexpr int kRounds = 200;
+  std::vector<std::vector<std::atomic<int>>> counts(kCallers);
+  for (auto& c : counts) c = std::vector<std::atomic<int>>(kN);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&counts, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        parallel_for(kN, [&](std::size_t i) {
+          counts[t][i].fetch_add(1, std::memory_order_relaxed);
+        });
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(counts[t][i].load(), kRounds)
+          << "caller " << t << " index " << i;
+    }
+  }
+}
+
+TEST(ForkJoinTest, RegionNestedInCallersChunkRunsInlineOnCaller) {
+  ThreadPool pool(2);
+  const auto caller = std::this_thread::get_id();
+  EXPECT_FALSE(ThreadPool::in_worker());
+  bool caller_marked = false;
+  bool nested_inline = true;
+  int nested_calls = 0;
+  pool.parallel_for_chunked(12, [&](std::size_t begin, std::size_t) {
+    if (begin != 0) return;  // chunk 0 is the caller's
+    caller_marked = ThreadPool::in_worker();
+    auto check = [&](std::size_t b, std::size_t e) {
+      ++nested_calls;  // inline => single-threaded, no race
+      if (b != 0 || e != 64 ||
+          std::this_thread::get_id() != caller) {
+        nested_inline = false;
+      }
+    };
+    pool.parallel_for_chunked(64, check);
+    parallel_for_chunked(64, check);  // the global pool, too
+  });
+  EXPECT_TRUE(caller_marked);
+  EXPECT_TRUE(nested_inline);
+  EXPECT_EQ(nested_calls, 2);
+  EXPECT_FALSE(ThreadPool::in_worker());
+}
+
+TEST(ForkJoinTest, PoolWithoutWorkersRunsEverythingInline) {
+  // The global pool of a 1-vCPU host: nproc - 1 = 0 workers.
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.concurrency(), 1u);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  bool on_caller = true;
+  pool.parallel_for_chunked(100, [&](std::size_t b, std::size_t e) {
+    chunks.emplace_back(b, e);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0], std::make_pair(std::size_t{0}, std::size_t{100}));
+  EXPECT_TRUE(on_caller);
+  auto fut = pool.submit([&] { return std::this_thread::get_id() == caller; });
+  EXPECT_TRUE(fut.get());
+}
+
+la::Matrix filled(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Rng rng(seed);
+  la::Matrix m(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) m(r, c) = rng.normal();
+  }
+  return m;
+}
+
+bool bitwise_equal(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size_bytes()) == 0;
+}
+
+TEST(ForkJoinTest, SplitGemmsAreBitwiseEqualToInlineRuns) {
+  // Above the threshold the main thread splits rows across the global pool;
+  // inside a pool worker the same call runs inline as one chunk.  Row
+  // partitioning keeps every per-element accumulation chain, so the two
+  // must agree to the bit.
+  constexpr std::size_t m = 64, k = 128, n = 96;
+  static_assert(m * k * n >= la::kParallelFlopThreshold);
+  const la::Matrix a = filled(m, k, 1);
+  const la::Matrix w = filled(k, n, 2);
+  const la::Matrix dy = filled(m, n, 3);
+  la::PackedB packed;
+  packed.pack(w);
+  const double bias_row[n] = {};
+  const la::GemmEpilogue epi{bias_row, la::GemmAct::LeakyReLU, 0.2};
+
+  la::Matrix out_split(m, n), dw_split = filled(k, n, 4);
+  la::gemm_packed(a, packed, out_split, epi);
+  la::gemm_grad_weights(a, dy, dw_split, /*accumulate=*/true);
+
+  la::Matrix out_inline(m, n), dw_inline = filled(k, n, 4);
+  ThreadPool pool(1);
+  pool.submit([&] {
+        ASSERT_TRUE(ThreadPool::in_worker());
+        la::gemm_packed(a, packed, out_inline, epi);
+        la::gemm_grad_weights(a, dy, dw_inline, /*accumulate=*/true);
+      })
+      .get();
+  EXPECT_TRUE(bitwise_equal(out_split, out_inline));
+  EXPECT_TRUE(bitwise_equal(dw_split, dw_inline));
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

@@ -273,6 +273,56 @@ TEST(ShardedQueueTest, MpmcAccountingLosesAndDuplicatesNothing) {
   EXPECT_EQ(q.depth(), 0u);
 }
 
+TEST(ShardedQueueTest, DepthNeverExceedsPushedMinusPoppedUnderRace) {
+  // One producer and one consumer race 2M items through the queue while a
+  // third thread samples depth().  Each push is counted BEFORE push() and
+  // each pop AFTER try_pop(), and the sampler reads popped, then depth,
+  // then pushed, so depth() <= pushed - popped must hold for every sample
+  // if depth_ is raised before an item becomes poppable.  Raising it after
+  // the item is visible lets the consumer subtract first, and the unsigned
+  // counter wraps to ~2^64.
+  constexpr std::size_t kItems = 2'000'000;
+  serve::ShardedQueue<std::uint32_t> q(4);
+  std::atomic<std::size_t> pushed{0};
+  std::atomic<std::size_t> popped{0};
+  std::atomic<bool> done{false};
+
+  std::size_t samples = 0;
+  std::size_t over = 0;
+  std::size_t wrapped = 0;
+  std::thread sampler([&] {
+    while (!done.load()) {
+      const std::size_t p0 = popped.load();
+      const std::size_t d = q.depth();
+      const std::size_t u1 = pushed.load();
+      ++samples;
+      if (d >= (std::size_t{1} << 40)) ++wrapped;
+      if (d > u1 - p0) ++over;
+    }
+  });
+  std::thread consumer([&] {
+    std::vector<std::uint32_t> got;
+    got.reserve(64);
+    while (popped.load() < kItems) {
+      got.clear();
+      const std::size_t n = q.try_pop(got, 64);
+      popped.fetch_add(n);
+    }
+  });
+  for (std::size_t i = 0; i < kItems; ++i) {
+    pushed.fetch_add(1);
+    EXPECT_TRUE(q.push(static_cast<std::uint32_t>(i)));
+  }
+  consumer.join();
+  done.store(true);
+  sampler.join();
+
+  EXPECT_GT(samples, 0u);
+  EXPECT_EQ(wrapped, 0u) << "of " << samples << " depth() samples";
+  EXPECT_EQ(over, 0u) << "of " << samples << " depth() samples";
+  EXPECT_EQ(q.depth(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Daemon fixture: the small synthetic drift problem from inference_test.
 // ---------------------------------------------------------------------------
