@@ -1,12 +1,11 @@
 // Training-path benchmark: backward-pass packed GEMM kernels, fused SIMD
-// Adam, and sharded minibatches (DESIGN.md section 12) against the legacy
-// layer-API training path, on the paper's 442-feature 5GC telemetry shapes.
+// Adam, and sharded minibatches (DESIGN.md section 12), on the paper's
+// 442-feature 5GC telemetry shapes.
 //
-// For each reconstructor (CGAN, VAE, VanillaAE) the bench runs an identical
-// fit twice -- once through the packed training engine, once through the
-// legacy matmul path -- and reports fit seconds, ms/step, and the speedup.
-// A third CGAN run adds auto sharding (train_shards = 0) to show the
-// data-parallel path on top of the packed kernels.  One JSON line of
+// For each reconstructor (CGAN, VAE, VanillaAE) the bench times a fit and
+// reports fit seconds, ms/step and the GEMM pack seconds.  A second CGAN
+// run adds auto sharding (train_shards = 0) to show the data-parallel path
+// on top of the packed kernels.  One JSON line of
 // results goes to BENCH_training.json under the bench output directory (CI
 // uploads it as an artifact so the perf trajectory is tracked).
 //
@@ -75,13 +74,9 @@ FitResult timed_fit(core::Reconstructor& model, const TrainingData& d) {
   return r;
 }
 
-void print_row(const char* name, const FitResult& packed,
-               const FitResult& legacy) {
-  const double speedup =
-      packed.seconds > 0.0 ? legacy.seconds / packed.seconds : 0.0;
-  std::printf("%-14s %10.2f %10.2f %12.3f %12.3f %9.2fx\n", name,
-              packed.seconds, legacy.seconds, packed.ms_per_step,
-              legacy.ms_per_step, speedup);
+void print_row(const char* name, const FitResult& r) {
+  std::printf("%-14s %10.2f %12.3f %10.3f\n", name, r.seconds, r.ms_per_step,
+              r.pack_seconds);
 }
 
 }  // namespace
@@ -100,8 +95,7 @@ int main() {
 
   // hidden stays empty = auto, which resolves to the paper's width rule
   // (256 for the 442-feature layout, Section V-C3); smoke shrinks it.
-  // Batch 192 keeps the steps GEMM-dominated (the quantity this bench
-  // compares); both backends run the identical configuration.
+  // Batch 192 keeps the steps GEMM-dominated.
   const std::size_t batch = smoke ? 64 : 192;
   core::CganOptions gan_opts = core::CganOptions::quick();
   gan_opts.epochs = epochs;
@@ -125,73 +119,50 @@ int main() {
       la::gemm_avx2_available() ? "on" : "off");
 
   // Repeated fits, keeping the fastest: the hosts this runs on share cores,
-  // and scheduling noise otherwise dominates the packed/legacy comparison.
-  // Both backends get the identical treatment.
+  // and scheduling noise otherwise dominates.
   const std::size_t reps = smoke ? 1 : 3;
-  const auto run = [&](core::Reconstructor& model,
-                       nn::TrainingBackend backend) {
-    nn::set_training_backend(backend);
+  const auto run = [&](core::Reconstructor& model) {
     FitResult best = timed_fit(model, data);
     for (std::size_t rep = 1; rep < reps; ++rep) {
       const FitResult r = timed_fit(model, data);
       if (r.seconds < best.seconds) best = r;
     }
-    nn::set_training_backend(nn::TrainingBackend::Packed);
     return best;
   };
 
   // Untimed warmup on a throwaway model: faults in the allocator arenas and
-  // spins the core up before the first timed fit, so run-to-run ordering
-  // does not penalise whichever backend goes first.
+  // spins the core up before the first timed fit.
   {
     core::CganOptions warm_opts = gan_opts;
     warm_opts.epochs = 1;
     core::ConditionalGAN warm(inv_dim, var_dim, warm_opts, 11);
-    const TrainingData warm_data =
-        make_data(n / 4 > 0 ? n / 4 : 1, inv_dim, var_dim, 4);
-    run(warm, nn::TrainingBackend::Packed);
-    run(warm, nn::TrainingBackend::Legacy);
+    run(warm);
   }
 
-  core::ConditionalGAN gan_packed(inv_dim, var_dim, gan_opts, 7);
-  core::ConditionalGAN gan_legacy(inv_dim, var_dim, gan_opts, 7);
-  const FitResult gan_p = run(gan_packed, nn::TrainingBackend::Packed);
-  const FitResult gan_l = run(gan_legacy, nn::TrainingBackend::Legacy);
+  core::ConditionalGAN gan(inv_dim, var_dim, gan_opts, 7);
+  const FitResult gan_r = run(gan);
 
   core::CganOptions gan_shard_opts = gan_opts;
   gan_shard_opts.train_shards = 0;  // auto: one shard per pool participant
   core::ConditionalGAN gan_sharded(inv_dim, var_dim, gan_shard_opts, 7);
-  const FitResult gan_s = run(gan_sharded, nn::TrainingBackend::Packed);
+  const FitResult gan_s = run(gan_sharded);
 
-  core::VaeReconstructor vae_packed(inv_dim, var_dim, vae_opts, 7);
-  core::VaeReconstructor vae_legacy(inv_dim, var_dim, vae_opts, 7);
-  const FitResult vae_p = run(vae_packed, nn::TrainingBackend::Packed);
-  const FitResult vae_l = run(vae_legacy, nn::TrainingBackend::Legacy);
+  core::VaeReconstructor vae(inv_dim, var_dim, vae_opts, 7);
+  const FitResult vae_r = run(vae);
 
-  core::AutoencoderReconstructor ae_packed(inv_dim, var_dim, ae_opts, 7);
-  core::AutoencoderReconstructor ae_legacy(inv_dim, var_dim, ae_opts, 7);
-  const FitResult ae_p = run(ae_packed, nn::TrainingBackend::Packed);
-  const FitResult ae_l = run(ae_legacy, nn::TrainingBackend::Legacy);
+  core::AutoencoderReconstructor ae(inv_dim, var_dim, ae_opts, 7);
+  const FitResult ae_r = run(ae);
 
-  std::printf("\n%-14s %10s %10s %12s %12s %10s\n", "model", "packed(s)",
-              "legacy(s)", "pk ms/step", "lg ms/step", "speedup");
-  print_row("CGAN", gan_p, gan_l);
-  print_row("CGAN+shards", gan_s, gan_l);
-  print_row("VAE", vae_p, vae_l);
-  print_row("VanillaAE", ae_p, ae_l);
-  std::printf("GEMM pack time, packed CGAN fit: %.3fs (%.1f%% of fit)\n",
-              gan_p.pack_seconds,
-              gan_p.seconds > 0.0 ? 100.0 * gan_p.pack_seconds / gan_p.seconds
+  std::printf("\n%-14s %10s %12s %10s\n", "model", "fit(s)", "ms/step",
+              "pack(s)");
+  print_row("CGAN", gan_r);
+  print_row("CGAN+shards", gan_s);
+  print_row("VAE", vae_r);
+  print_row("VanillaAE", ae_r);
+  std::printf("GEMM pack time, CGAN fit: %.3fs (%.1f%% of fit)\n",
+              gan_r.pack_seconds,
+              gan_r.seconds > 0.0 ? 100.0 * gan_r.pack_seconds / gan_r.seconds
                                   : 0.0);
-
-  const double gan_speedup =
-      gan_p.seconds > 0.0 ? gan_l.seconds / gan_p.seconds : 0.0;
-  const double gan_shard_speedup =
-      gan_s.seconds > 0.0 ? gan_l.seconds / gan_s.seconds : 0.0;
-  const double vae_speedup =
-      vae_p.seconds > 0.0 ? vae_l.seconds / vae_p.seconds : 0.0;
-  const double ae_speedup =
-      ae_p.seconds > 0.0 ? ae_l.seconds / ae_p.seconds : 0.0;
 
   const std::string path = bench::out_path("BENCH_training.json");
   std::ofstream out(path);
@@ -201,16 +172,14 @@ int main() {
         line, sizeof(line),
         "{\"bench\":\"training\",\"smoke\":%s,\"inv_dim\":%zu,"
         "\"var_dim\":%zu,\"samples\":%zu,\"epochs\":%zu,\"avx2\":%s,"
-        "\"cgan\":{\"packed_s\":%.3f,\"legacy_s\":%.3f,\"sharded_s\":%.3f,"
-        "\"speedup\":%.3f,\"sharded_speedup\":%.3f,"
+        "\"cgan\":{\"fit_s\":%.3f,\"ms_per_step\":%.3f,\"sharded_s\":%.3f,"
         "\"pack_seconds\":%.4f},"
-        "\"vae\":{\"packed_s\":%.3f,\"legacy_s\":%.3f,\"speedup\":%.3f},"
-        "\"ae\":{\"packed_s\":%.3f,\"legacy_s\":%.3f,\"speedup\":%.3f}}\n",
+        "\"vae\":{\"fit_s\":%.3f,\"ms_per_step\":%.3f},"
+        "\"ae\":{\"fit_s\":%.3f,\"ms_per_step\":%.3f}}\n",
         smoke ? "true" : "false", inv_dim, var_dim, n, epochs,
-        la::gemm_avx2_available() ? "true" : "false", gan_p.seconds,
-        gan_l.seconds, gan_s.seconds, gan_speedup, gan_shard_speedup,
-        gan_p.pack_seconds, vae_p.seconds, vae_l.seconds, vae_speedup,
-        ae_p.seconds, ae_l.seconds, ae_speedup);
+        la::gemm_avx2_available() ? "true" : "false", gan_r.seconds,
+        gan_r.ms_per_step, gan_s.seconds, gan_r.pack_seconds, vae_r.seconds,
+        vae_r.ms_per_step, ae_r.seconds, ae_r.ms_per_step);
     out << line;
     std::printf("results written to %s\n", path.c_str());
   }

@@ -62,11 +62,7 @@ double Rng::normal(double mean, double stddev) {
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
   FSDA_CHECK_MSG(n > 0, "uniform_index requires n > 0");
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = max() - max() % n;
-  std::uint64_t x = (*this)();
-  while (x >= limit) x = (*this)();
-  return x % n;
+  return uniform_index(n, index_limit(n));
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

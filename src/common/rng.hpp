@@ -64,6 +64,21 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_index(std::uint64_t n);
 
+  /// Rejection bound of uniform_index(n): raw draws at or above it are
+  /// redrawn to avoid modulo bias.  Requires n > 0.
+  static constexpr std::uint64_t index_limit(std::uint64_t n) {
+    return max() - max() % n;
+  }
+
+  /// uniform_index(n) with its bound precomputed as index_limit(n), for
+  /// loops that draw many indices below the same n: the same draws, one
+  /// 64-bit division fewer per call.
+  std::uint64_t uniform_index(std::uint64_t n, std::uint64_t limit) {
+    std::uint64_t x = (*this)();
+    while (x >= limit) x = (*this)();
+    return x % n;
+  }
+
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 

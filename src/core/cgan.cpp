@@ -197,6 +197,16 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   std::vector<double> ones;
   std::vector<double> zeros;
 
+  // Backward pass whose returned dX is discarded (every pass but the G-step
+  // backward through D): the network's first layer skips its dX.  Parameter
+  // gradients are bit-identical either way.
+  const auto backward_params_only = [](nn::Layer& net, const la::Matrix& grad,
+                                       nn::Workspace& ws) {
+    ws.set_input_grad_enabled(false);
+    net.backward(grad, ws);
+    ws.set_input_grad_enabled(true);
+  };
+
   // Divergence recovery: both networks' parameters are snapshotted every
   // snapshot_every healthy epochs; a NaN/Inf or sustained-explosion epoch
   // rolls back to the last snapshot and retries the fit with a decayed
@@ -370,7 +380,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
                 build_d_input(var_b_), /*training=*/true, ws_);
             const double real_loss =
                 nn::bce_on_probs_into(real_prob, ones, loss_grad_);
-            discriminator_->backward(loss_grad_, ws_);
+            backward_params_only(*discriminator_, loss_grad_, ws_);
 
             permute_corrupt_into(inv_b_, options_.input_corruption_p, rng_,
                                  corrupt_b_);
@@ -382,7 +392,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
                 build_d_input(fake), /*training=*/true, ws_);
             const double fake_loss =
                 nn::bce_on_probs_into(fake_prob, zeros, loss_grad_);
-            discriminator_->backward(loss_grad_, ws_);
+            backward_params_only(*discriminator_, loss_grad_, ws_);
             d_opt.step();
             stats.d_loss += real_loss + fake_loss;
           }
@@ -421,7 +431,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
               recon_grad_ *= options_.recon_weight;
               grad_fake_ += recon_grad_;
             }
-            generator_->backward(grad_fake_, ws_);
+            backward_params_only(*generator_, grad_fake_, ws_);
             g_opt.step();
             if (!options_.skip_d_grads_in_g_step) d_opt.zero_grad();
             stats.g_adv_loss += adv_loss;
@@ -465,7 +475,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
             const double real_loss =
                 nn::bce_on_probs_into(real_prob, rep.ones, rep.loss_grad);
             rep.loss_grad *= w;
-            rep.dis->backward(rep.loss_grad, rep.ws);
+            backward_params_only(*rep.dis, rep.loss_grad, rep.ws);
             rep.g_in.resize(mr, g_in_.cols());
             la::copy_into(la::ConstMatrixView(g_in_).row_block(row0, mr),
                           rep.g_in);
@@ -477,7 +487,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
             const double fake_loss =
                 nn::bce_on_probs_into(fake_prob, rep.zeros, rep.loss_grad);
             rep.loss_grad *= w;
-            rep.dis->backward(rep.loss_grad, rep.ws);
+            backward_params_only(*rep.dis, rep.loss_grad, rep.ws);
             rep.d_loss = w * (real_loss + fake_loss);
           });
           g_bn_sync.update(ranges);  // G ran a training forward per shard
@@ -533,7 +543,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
               rep.recon_grad *= options_.recon_weight * w;
               rep.grad_fake += rep.recon_grad;
             }
-            rep.gen->backward(rep.grad_fake, rep.ws);
+            backward_params_only(*rep.gen, rep.grad_fake, rep.ws);
             rep.g_adv = w * adv_loss;
             rep.g_recon = w * recon_value;
           });

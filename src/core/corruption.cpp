@@ -13,13 +13,19 @@ void permute_corrupt_into(const la::Matrix& x, double p, common::Rng& rng,
   out.resize(x.rows(), x.cols());
   la::copy_into(x, out);
   if (p == 0.0 || x.rows() < 2) return;
+  // The rejection bound is hoisted out of the loop and the stream is drawn
+  // from a local copy (its state stays in registers across the stores);
+  // the draws are exactly those of rng.uniform_index(x.rows()) per hit.
+  const std::uint64_t rows = x.rows();
+  const std::uint64_t limit = common::Rng::index_limit(rows);
+  common::Rng local = rng;
   for (std::size_t r = 0; r < x.rows(); ++r) {
+    double* o = out.row(r).data();
     for (std::size_t c = 0; c < x.cols(); ++c) {
-      if (rng.bernoulli(p)) {
-        out(r, c) = x(rng.uniform_index(x.rows()), c);
-      }
+      if (local.bernoulli(p)) o[c] = x(local.uniform_index(rows, limit), c);
     }
   }
+  rng = local;
 }
 
 la::Matrix permute_corrupt(const la::Matrix& x, double p, common::Rng& rng) {

@@ -142,70 +142,6 @@ std::unique_ptr<InferenceSession> InferenceSession::build(
   return s;
 }
 
-std::unique_ptr<InferenceSession> InferenceSession::build(
-    models::Classifier& classifier, Reconstructor* reconstructor,
-    const SeparationResult& sep, std::size_t monte_carlo_m,
-    bool use_reconstruction) {
-  // Only the neural classifiers expose a compilable network; tree/linear
-  // baselines keep the layer-API path.
-  auto* mlp = dynamic_cast<models::MLPClassifier*>(&classifier);
-  if (mlp == nullptr || mlp->network() == nullptr) return nullptr;
-  auto clf_plan = nn::InferencePlan::compile(*mlp->network(),
-                                             mlp->num_features(),
-                                             /*append_softmax=*/true);
-  if (!clf_plan.has_value()) return nullptr;
-
-  std::unique_ptr<InferenceSession> s(new InferenceSession());
-  s->num_classes_ = mlp->num_classes();
-  s->monte_carlo_m_ = std::max<std::size_t>(monte_carlo_m, 1);
-  s->clf_plan_ = std::move(clf_plan);
-
-  if (!use_reconstruction) {
-    // FS mode mirrors the layer path: invariant columns, or everything when
-    // the invariant set is empty (degenerate fallback).
-    if (sep.invariant.empty()) return s;  // Mode::Direct
-    s->mode_ = Mode::Select;
-    s->cols_ = sep.invariant;
-    if (s->cols_.size() != s->clf_plan_->in_features()) return nullptr;
-    for (const std::size_t c : s->cols_) {
-      s->min_input_cols_ = std::max(s->min_input_cols_, c + 1);
-    }
-    return s;
-  }
-  if (sep.variant.empty() || reconstructor == nullptr) {
-    // Nothing to reconstruct: classifier input is the [inv | var] gather.
-    s->mode_ = Mode::Select;
-    s->cols_ = sep.invariant;
-    s->cols_.insert(s->cols_.end(), sep.variant.begin(), sep.variant.end());
-    if (s->cols_.size() != s->clf_plan_->in_features()) return nullptr;
-    for (const std::size_t c : s->cols_) {
-      s->min_input_cols_ = std::max(s->min_input_cols_, c + 1);
-    }
-    return s;
-  }
-  // Full FS+GAN: only the CGAN generator is compilable (the MeanImpute
-  // fallback has no network and keeps the layer path).
-  auto* gan = dynamic_cast<ConditionalGAN*>(reconstructor);
-  if (gan == nullptr || gan->generator_network() == nullptr) return nullptr;
-  if (gan->inv_dim() != sep.invariant.size()) return nullptr;
-  auto gen_plan = nn::InferencePlan::compile(
-      *gan->generator_network(), gan->inv_dim() + gan->noise_dim());
-  if (!gen_plan.has_value()) return nullptr;
-  if (gen_plan->out_features() != gan->var_dim()) return nullptr;
-  if (s->clf_plan_->in_features() != gan->inv_dim() + gan->var_dim()) {
-    return nullptr;
-  }
-  s->mode_ = Mode::Reconstruct;
-  s->gan_ = gan;
-  s->gen_plan_ = std::move(gen_plan);
-  s->cols_ = sep.invariant;
-  s->map_.identity = true;  // trained partition == serving partition
-  for (const std::size_t c : s->cols_) {
-    s->min_input_cols_ = std::max(s->min_input_cols_, c + 1);
-  }
-  return s;
-}
-
 void InferenceSession::ServeContext::reserve(std::size_t rows) {
   if (rows == 0) return;
   const InferenceSession& s = *owner_;

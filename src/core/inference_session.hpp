@@ -72,19 +72,12 @@ struct AssemblyMap {
 
 class InferenceSession {
  public:
-  /// Compiles plans for the classifier (and reconstructor when the regime
-  /// needs one).  Returns nullptr when anything is not plan-compatible.
-  static std::unique_ptr<InferenceSession> build(models::Classifier& classifier,
-                                                 Reconstructor* reconstructor,
-                                                 const SeparationResult& sep,
-                                                 std::size_t monte_carlo_m,
-                                                 bool use_reconstruction);
-
-  /// Generation-aware overload: serves a classifier trained on one feature
-  /// order through the partition/reconstructor of a (possibly newer)
-  /// generation, routing each classifier input column per `map`.  Returns
-  /// nullptr when anything is not plan-compatible or the map does not fit
-  /// the classifier/reconstructor shapes.
+  /// Compiles plans for the classifier (and the reconstructor when `map`
+  /// sources any column from it).  Serves a classifier trained on one
+  /// feature order through the partition/reconstructor of a (possibly
+  /// newer) generation, routing each classifier input column per `map`.
+  /// Returns nullptr when anything is not plan-compatible or the map does
+  /// not fit the classifier/reconstructor shapes.
   static std::unique_ptr<InferenceSession> build(models::Classifier& classifier,
                                                  Reconstructor* reconstructor,
                                                  const SeparationResult& sep,

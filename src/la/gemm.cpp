@@ -96,11 +96,24 @@ void check_gemm_shapes(ConstMatrixView a, const PackedB& b, MatrixView out) {
 
 }  // namespace
 
+void PackedB::resize_and_zero_padding() {
+  const std::size_t panels = num_panels();
+  data_.resize(panels * k_ * kPanel);
+  // The packers overwrite every lane but the padding of a partial last
+  // panel; zeroing only that keeps packing to one pass over the slab.
+  const std::size_t width = n_ % kPanel;  // columns in a partial last panel
+  if (width == 0) return;
+  double* slab = data_.data() + (panels - 1) * k_ * kPanel;
+  for (std::size_t k = 0; k < k_; ++k) {
+    std::fill(slab + k * kPanel + width, slab + (k + 1) * kPanel, 0.0);
+  }
+}
+
 void PackedB::pack(ConstMatrixView b) {
   k_ = b.rows();
   n_ = b.cols();
   const std::size_t panels = num_panels();
-  data_.assign(panels * k_ * kPanel, 0.0);
+  resize_and_zero_padding();
   for (std::size_t p = 0; p < panels; ++p) {
     double* slab = data_.data() + p * k_ * kPanel;
     const std::size_t c0 = p * kPanel;
@@ -117,7 +130,7 @@ void PackedB::pack_transposed(ConstMatrixView b) {
   k_ = b.cols();
   n_ = b.rows();
   const std::size_t panels = num_panels();
-  data_.assign(panels * k_ * kPanel, 0.0);
+  resize_and_zero_padding();
   // Panel p covers rows [c0, c0+width) of b, i.e. columns of bᵀ; lane j at
   // depth k holds bᵀ(k, c0+j) = b(c0+j, k).  Reads are contiguous along the
   // source row, writes stride kPanel within the slab.
@@ -203,8 +216,7 @@ void gemm_grad_weights_scalar(ConstMatrixView a, ConstMatrixView dy,
   const std::size_t kk = a.cols();
   const std::size_t n = dy.cols();
   // k outer so each dw row is finished in one sweep; per dw element the
-  // accumulation runs i ascending -- the same chain as transposed_matmul_into,
-  // which keeps packed-vs-legacy training within rounding noise.
+  // accumulation runs i ascending -- the same chain as transposed_matmul_into.
   for (std::size_t k = 0; k < kk; ++k) {
     double* __restrict out = dw.row_data(k);
     if (!accumulate) std::fill_n(out, n, 0.0);

@@ -94,7 +94,10 @@ void MLPClassifier::run_epochs(const la::Matrix& x,
         auto grow = loss_grad_.row(i);
         for (auto& g : grow) g *= wi;
       }
+      // The input gradient is never used: the first layer skips it.
+      ws_.set_input_grad_enabled(false);
       net_->backward(loss_grad_, ws_);
+      ws_.set_input_grad_enabled(true);
       optimizer.step();
       epoch_loss += loss;
       ++batches;

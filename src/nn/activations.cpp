@@ -4,7 +4,10 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
+#include "la/gemm.hpp"
 #include "la/kernels.hpp"
+#include "la/view.hpp"
 #include "nn/workspace.hpp"
 
 namespace fsda::nn {
@@ -59,7 +62,18 @@ const la::Matrix& LeakyReLU::backward(const la::Matrix& grad_output,
 const la::Matrix& Tanh::forward(const la::Matrix& input, bool /*training*/,
                                 Workspace& ws) {
   la::Matrix& out = ws.buffer(this, 0, input.rows(), input.cols());
-  la::apply_into(input, out, [](double x) { return std::tanh(x); });
+  // std::tanh dominates this layer; split rows across the pool above the
+  // threshold (every element is computed by the same call either way).
+  const auto rows = [&](std::size_t r0, std::size_t r1) {
+    la::apply_into(la::ConstMatrixView(input).row_block(r0, r1 - r0),
+                   la::MatrixView(out).row_block(r0, r1 - r0),
+                   [](double x) { return std::tanh(x); });
+  };
+  if (input.size() >= la::kParallelTanhElements && input.rows() >= 8) {
+    common::parallel_for_chunked(input.rows(), rows);
+  } else {
+    rows(0, input.rows());
+  }
   cached_output_ = &out;
   return out;
 }

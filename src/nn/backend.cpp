@@ -5,17 +5,8 @@
 namespace fsda::nn {
 
 namespace {
-std::atomic<TrainingBackend> g_backend{TrainingBackend::Packed};
 std::atomic<std::uint64_t> g_pack_nanos{0};
 }  // namespace
-
-void set_training_backend(TrainingBackend backend) {
-  g_backend.store(backend, std::memory_order_relaxed);
-}
-
-TrainingBackend training_backend() {
-  return g_backend.load(std::memory_order_relaxed);
-}
 
 double gemm_pack_seconds() {
   return static_cast<double>(g_pack_nanos.load(std::memory_order_relaxed)) *

@@ -1,25 +1,14 @@
-// fsda::nn -- training backend selection and pack telemetry.
+// fsda::nn -- pack telemetry for the packed training path.
 //
-// The training stack routes Linear forward/backward through the packed GEMM
-// engine (la/gemm.hpp) by default; the original blocked-kernel path
-// (matmul_into / transposed_matmul_into / matmul_transposed_into) is kept
-// behind this process-wide flag for parity testing and as the baseline leg
-// of bench_training.  The switch is read per forward/backward call, so a
-// test can flip it between fits without rebuilding networks.
+// Linear runs its forward, dX and dW GEMMs on the packed engine
+// (la/gemm.hpp); Workspace::packed re-lays out weight panels once per
+// parameter version and reports the time spent here, so a fit can export
+// how much of its wall clock went to packing.
 #pragma once
 
 #include <cstdint>
 
 namespace fsda::nn {
-
-/// Which kernels Linear uses for its GEMMs.
-enum class TrainingBackend { Packed, Legacy };
-
-/// Sets the process-wide backend (default Packed).
-void set_training_backend(TrainingBackend backend);
-
-/// The backend Linear will use right now.
-[[nodiscard]] TrainingBackend training_backend();
 
 /// Cumulative process-wide seconds spent re-packing weight panels for the
 /// packed training path (Workspace::packed cache misses).  Feeds the

@@ -28,18 +28,29 @@ const la::Matrix& BatchNorm1d::forward(const la::Matrix& input, bool training,
   mean_.resize(1, features_);
   var_.resize(1, features_);
   last_forward_used_batch_stats_ = training && n > 1;
+  const std::size_t f = features_;
   if (last_forward_used_batch_stats_) {
-    la::sum_rows_into(input, mean_);
-    mean_ *= 1.0 / static_cast<double>(n);
-    var_.fill(0.0);
+    // Per column, rows ascending (the reduction order the trained models
+    // are pinned to), over restrict-qualified row pointers so the column
+    // loops vectorize.
+    double* __restrict mu = mean_.row(0).data();
+    double* __restrict var = var_.row(0).data();
+    std::fill_n(mu, f, 0.0);
     for (std::size_t r = 0; r < n; ++r) {
-      const double* in = input.row(r).data();
-      for (std::size_t c = 0; c < features_; ++c) {
-        const double d = in[c] - mean_(0, c);
-        var_(0, c) += d * d;
+      const double* __restrict in = input.row(r).data();
+      for (std::size_t c = 0; c < f; ++c) mu[c] += in[c];
+    }
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (std::size_t c = 0; c < f; ++c) mu[c] *= inv_n;
+    std::fill_n(var, f, 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* __restrict in = input.row(r).data();
+      for (std::size_t c = 0; c < f; ++c) {
+        const double d = in[c] - mu[c];
+        var[c] += d * d;
       }
     }
-    var_ *= 1.0 / static_cast<double>(n);  // biased, as in standard BN
+    for (std::size_t c = 0; c < f; ++c) var[c] *= inv_n;  // biased, as in BN
     // update running statistics
     for (std::size_t c = 0; c < features_; ++c) {
       if (seen_batch_) {
@@ -63,15 +74,15 @@ const la::Matrix& BatchNorm1d::forward(const la::Matrix& input, bool training,
   }
   cached_norm_.resize(n, features_);
   la::Matrix& out = ws.buffer(this, 0, n, features_);
-  const double* mu = mean_.row(0).data();
-  const double* inv_std = cached_inv_std_.row(0).data();
-  const double* gamma = gamma_.value.row(0).data();
-  const double* beta = beta_.value.row(0).data();
+  const double* __restrict mu = mean_.row(0).data();
+  const double* __restrict inv_std = cached_inv_std_.row(0).data();
+  const double* __restrict gamma = gamma_.value.row(0).data();
+  const double* __restrict beta = beta_.value.row(0).data();
   for (std::size_t r = 0; r < n; ++r) {
-    const double* in = input.row(r).data();
-    double* norm = cached_norm_.row(r).data();
-    double* o = out.row(r).data();
-    for (std::size_t c = 0; c < features_; ++c) {
+    const double* __restrict in = input.row(r).data();
+    double* __restrict norm = cached_norm_.row(r).data();
+    double* __restrict o = out.row(r).data();
+    for (std::size_t c = 0; c < f; ++c) {
       const double xn = (in[c] - mu[c]) * inv_std[c];
       norm[c] = xn;
       o[c] = gamma[c] * xn + beta[c];

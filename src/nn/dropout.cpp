@@ -19,11 +19,17 @@ const la::Matrix& Dropout::forward(const la::Matrix& input, bool training,
   const double scale = 1.0 / (1.0 - p_);
   mask_.resize(input.rows(), input.cols());
   la::Matrix& out = ws.buffer(this, 0, input.rows(), input.cols());
-  auto m = mask_.data();
-  auto in = input.data();
-  auto o = out.data();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    const double keep = rng_.bernoulli(p_) ? 0.0 : scale;
+  const std::size_t n = mask_.size();
+  double* __restrict m = mask_.data().data();
+  const double* __restrict in = input.data().data();
+  double* __restrict o = out.data().data();
+  // Two passes: the serial stream fills the mask with the same uniforms, in
+  // the same element order, that rng_.bernoulli(p_) would draw; the select
+  // then compiles branch-free (a p = 0.3 keep/drop branch mispredicts often).
+  for (std::size_t i = 0; i < n; ++i) m[i] = rng_.uniform();
+  const double p = p_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double keep = m[i] < p ? 0.0 : scale;
     m[i] = keep;
     o[i] = in[i] * keep;
   }

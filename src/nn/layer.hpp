@@ -71,7 +71,8 @@ class Layer {
 
   /// Backpropagates `grad_output` (dL/d output of the most recent forward),
   /// accumulating parameter gradients, and returns dL/d input as a reference
-  /// into `ws`.
+  /// into `ws`.  When ws.input_grad_enabled() is false the caller discards
+  /// dL/d input, and the layer may leave it uncomputed.
   virtual const la::Matrix& backward(const la::Matrix& grad_output,
                                      Workspace& ws) = 0;
 

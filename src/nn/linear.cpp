@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "la/gemm.hpp"
 #include "la/kernels.hpp"
-#include "nn/backend.hpp"
 #include "nn/workspace.hpp"
 
 namespace fsda::nn {
@@ -29,17 +28,12 @@ const la::Matrix& Linear::forward(const la::Matrix& input, bool /*training*/,
                                         << in_features_);
   cached_input_ = &input;
   la::Matrix& out = ws.buffer(this, 0, input.rows(), out_features_);
-  if (training_backend() == TrainingBackend::Packed) {
-    // Weight panels are packed once per parameter version (i.e. once per
-    // optimizer step) and shared by every forward of that step.
-    const la::PackedB& pb = ws.packed(this, 0, weight_.value, weight_.version);
-    la::GemmEpilogue epi;
-    epi.bias = bias_.value.row(0).data();
-    la::gemm_packed(input, pb, out, epi);
-  } else {
-    la::matmul_into(input, weight_.value, out);
-    la::add_row_broadcast_into(out, bias_.value, out);
-  }
+  // Weight panels are packed once per parameter version (i.e. once per
+  // optimizer step) and shared by every forward of that step.
+  const la::PackedB& pb = ws.packed(this, 0, weight_.value, weight_.version);
+  la::GemmEpilogue epi;
+  epi.bias = bias_.value.row(0).data();
+  la::gemm_packed(input, pb, out, epi);
   return out;
 }
 
@@ -54,26 +48,19 @@ const la::Matrix& Linear::backward(const la::Matrix& grad_output,
   // gradients disabled (GAN generator steps backpropagating through a
   // frozen discriminator) the dW GEMM and bias reduction are skipped
   // entirely -- the dX below is bit-identical either way.
-  const bool param_grads = ws.param_grads_enabled();
-  if (training_backend() == TrainingBackend::Packed) {
-    if (param_grads) {
-      la::gemm_grad_weights(*cached_input_, grad_output, weight_.grad,
-                            /*accumulate=*/true);
-      la::sum_rows_into(grad_output, bias_.grad, /*accumulate=*/true);
-    }
-    // dX = dY * Wᵀ through the forward micro-kernels against a transposed
-    // pack; slot 1 keeps it distinct from the forward pack of slot 0.
-    const la::PackedB& pt = ws.packed(this, 1, weight_.value, weight_.version,
-                                      /*transposed=*/true);
-    la::gemm_packed(grad_output, pt, grad_input);
-  } else {
-    if (param_grads) {
-      la::transposed_matmul_into(*cached_input_, grad_output, weight_.grad,
-                                 /*accumulate=*/true);
-      la::sum_rows_into(grad_output, bias_.grad, /*accumulate=*/true);
-    }
-    la::matmul_transposed_into(grad_output, weight_.value, grad_input);
+  if (ws.param_grads_enabled()) {
+    la::gemm_grad_weights(*cached_input_, grad_output, weight_.grad,
+                          /*accumulate=*/true);
+    la::sum_rows_into(grad_output, bias_.grad, /*accumulate=*/true);
   }
+  // Likewise dW/db never depend on dX: a first layer whose dX the caller
+  // discards skips the transposed pack and the dX GEMM.
+  if (!ws.input_grad_enabled()) return grad_input;
+  // dX = dY * Wᵀ through the forward micro-kernels against a transposed
+  // pack; slot 1 keeps it distinct from the forward pack of slot 0.
+  const la::PackedB& pt = ws.packed(this, 1, weight_.value, weight_.version,
+                                    /*transposed=*/true);
+  la::gemm_packed(grad_output, pt, grad_input);
   return grad_input;
 }
 

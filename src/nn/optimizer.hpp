@@ -67,6 +67,8 @@ class Adam : public Optimizer {
   double weight_decay_;
   std::vector<la::Matrix> m_;
   std::vector<la::Matrix> v_;
+  /// offsets_[i] = elements of params_[0..i); offsets_.back() is the total.
+  std::vector<std::size_t> offsets_;
   std::int64_t t_ = 0;
 };
 

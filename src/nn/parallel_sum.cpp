@@ -22,8 +22,11 @@ const la::Matrix& ParallelSum::forward(const la::Matrix& input, bool training,
 
 const la::Matrix& ParallelSum::backward(const la::Matrix& grad_output,
                                         Workspace& ws) {
+  // Both branches see the caller's input-gradient flag; when it is off
+  // neither produces a dX, so there is nothing to sum.
   const la::Matrix& ga = a_->backward(grad_output, ws);
   const la::Matrix& gb = b_->backward(grad_output, ws);
+  if (!ws.input_grad_enabled()) return ga;
   la::Matrix& grad = ws.buffer(this, 1, ga.rows(), ga.cols());
   la::add_into(ga, gb, grad);
   return grad;

@@ -1,5 +1,7 @@
 #include "nn/sequential.hpp"
 
+#include <iterator>
+
 #include "common/error.hpp"
 #include "nn/workspace.hpp"
 
@@ -27,10 +29,15 @@ const la::Matrix& Sequential::forward(const la::Matrix& input, bool training,
 
 const la::Matrix& Sequential::backward(const la::Matrix& grad_output,
                                        Workspace& ws) {
+  // Every layer but the first feeds its dX to the layer before it; only the
+  // first one's dX leaves the stack, so only it sees the caller's flag.
+  const bool input_grad = ws.input_grad_enabled();
   const la::Matrix* g = &grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+    ws.set_input_grad_enabled(std::next(it) != layers_.rend() || input_grad);
     g = &(*it)->backward(*g, ws);
   }
+  ws.set_input_grad_enabled(input_grad);
   return *g;
 }
 

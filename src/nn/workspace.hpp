@@ -67,6 +67,17 @@ class Workspace {
   }
   void set_param_grads_enabled(bool on) { param_grads_enabled_ = on; }
 
+  /// When false, the first layer of a backward pass skips its input
+  /// gradient (dX): the returned matrix has the input's shape but
+  /// unspecified contents.  Training loops clear it for backward passes
+  /// whose dX is discarded (a discriminator's real/fake passes, a
+  /// generator's or classifier's backward); parameter gradients are
+  /// bit-identical either way.  Sequential::backward re-enables it for
+  /// every layer but its first, ParallelSum hands it to both branches, and
+  /// nn::Linear honors it by skipping the transposed pack and the dX GEMM.
+  [[nodiscard]] bool input_grad_enabled() const { return input_grad_enabled_; }
+  void set_input_grad_enabled(bool on) { input_grad_enabled_ = on; }
+
   /// Number of distinct (owner, slot) buffers created so far.
   [[nodiscard]] std::size_t num_buffers() const { return buffers_.size(); }
 
@@ -101,6 +112,7 @@ class Workspace {
       buffers_;
   std::unordered_map<std::pair<const void*, int>, PackEntry, KeyHash> packs_;
   bool param_grads_enabled_ = true;
+  bool input_grad_enabled_ = true;
 };
 
 }  // namespace fsda::nn

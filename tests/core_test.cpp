@@ -118,6 +118,29 @@ TEST(CorruptionTest, PreservesMarginalsAndRespectsP) {
   EXPECT_EQ(permute_corrupt(x, 0.0, rng), x);
 }
 
+TEST(CorruptionTest, PermuteMatchesUniformIndexReferenceLoop) {
+  // The hoisted rejection bound must not change a single draw: compare with
+  // the per-element bernoulli + uniform_index loop on a copy of the stream.
+  common::Rng data_rng(6);
+  const la::Matrix x = la::Matrix::randn(96, 13, data_rng);
+  common::Rng rng(7);
+  common::Rng ref_rng = rng;
+  la::Matrix out;
+  for (int call = 0; call < 3; ++call) {
+    permute_corrupt_into(x, 0.3, rng, out);
+    la::Matrix expected = x;
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      for (std::size_t c = 0; c < x.cols(); ++c) {
+        if (ref_rng.bernoulli(0.3)) {
+          expected(r, c) = x(ref_rng.uniform_index(x.rows()), c);
+        }
+      }
+    }
+    ASSERT_EQ(out, expected) << "call " << call;
+  }
+  EXPECT_EQ(rng(), ref_rng());  // both streams consumed the same draws
+}
+
 /// Shared fixture: a tiny separable reconstruction problem where
 /// x_var = 2 * x_inv[0] - x_inv[1] + small noise.
 struct ReconProblem {

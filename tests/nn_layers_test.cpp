@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "common/rng.hpp"
+#include "la/gemm.hpp"
 #include "la/matrix.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -296,6 +298,54 @@ TEST(KlTest, ZeroAtStandardNormal) {
   const la::Matrix mu(3, 2, 0.0);
   const la::Matrix log_var(3, 2, 0.0);
   EXPECT_NEAR(gaussian_kl(mu, log_var).value, 0.0, 1e-12);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(DropoutTest, MaskMatchesPerElementBernoulliReference) {
+  // The two-pass forward must draw exactly what a per-element
+  // rng.bernoulli(p) loop on the same stream draws, in the same order.
+  common::Rng rng(77);
+  const la::Matrix x = la::Matrix::randn(37, 29, rng);
+  const double p = 0.3;
+  const common::Rng stream(4242);
+  Dropout drop(p, stream);
+  Workspace ws;
+  for (int call = 0; call < 2; ++call) {  // the stream carries across calls
+    common::Rng ref = stream;
+    for (int skip = 0; skip < call; ++skip) {
+      for (std::size_t i = 0; i < x.size(); ++i) (void)ref.bernoulli(p);
+    }
+    const la::Matrix& out = drop.forward(x, /*training=*/true, ws);
+    const double scale = 1.0 / (1.0 - p);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double keep = ref.bernoulli(p) ? 0.0 : scale;
+      ASSERT_TRUE(same_bits(out.data()[i], x.data()[i] * keep))
+          << "call " << call << " element " << i;
+    }
+  }
+  // Backward applies the same mask.
+  const la::Matrix g = la::Matrix::randn(37, 29, rng);
+  const la::Matrix& out = drop.forward(x, /*training=*/true, ws);
+  const la::Matrix& dx = drop.backward(g, ws);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(dx.data()[i] == 0.0, out.data()[i] == 0.0) << i;
+  }
+}
+
+TEST(TanhTest, SplitForwardMatchesInlineTanhBitwise) {
+  // Large enough that the forward splits its rows across the pool.
+  common::Rng rng(91);
+  const la::Matrix x = la::Matrix::randn(96, 40, rng) * 2.0;
+  ASSERT_GE(x.size(), la::kParallelTanhElements);
+  Tanh tanh_layer;
+  Workspace ws;
+  const la::Matrix& y = tanh_layer.forward(x, /*training=*/true, ws);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_TRUE(same_bits(y.data()[i], std::tanh(x.data()[i]))) << i;
+  }
 }
 
 }  // namespace

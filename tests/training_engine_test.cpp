@@ -8,16 +8,19 @@
 //     100-step trajectory, on both the scalar and AVX2 kernels;
 //   - a sharded fit is bitwise identical whether the shards run serially or
 //     on the thread pool;
-//   - a steady-state training loop allocates no matrices;
-//   - a CGAN fit routed through the packed engine matches the legacy
-//     layer-API fit closely under a forced common ISA.
+//   - nn::Adam's pool sweep equals a serial per-parameter sweep bitwise,
+//     and a CGAN fit whose regions split across the pool equals the same
+//     fit run inline inside a pool task;
+//   - a steady-state training loop allocates no matrices.
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/autoencoder.hpp"
 #include "core/cgan.hpp"
 #include "core/vae.hpp"
@@ -25,7 +28,6 @@
 #include "la/matrix.hpp"
 #include "la/optim_kernels.hpp"
 #include "nn/activations.hpp"
-#include "nn/backend.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -43,12 +45,9 @@ la::Matrix random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-// Restores global ISA/backend forcing even when an assertion fails.
+// Restores global ISA forcing even when an assertion fails.
 struct IsaGuard {
   ~IsaGuard() { la::set_gemm_isa(la::GemmIsa::Auto); }
-};
-struct BackendGuard {
-  ~BackendGuard() { nn::set_training_backend(nn::TrainingBackend::Packed); }
 };
 
 // ---------------------------------------------------------------------------
@@ -179,6 +178,62 @@ TEST(FusedAdam, Avx2MatchesReferenceBitwise) {
   run_fused_adam_trajectory(la::GemmIsa::Avx2);
 }
 
+TEST(FusedAdam, PoolStepMatchesSerialSweepBitwise) {
+  // Adam::step sweeps every parameter in one pool region.  Sized so each
+  // chunk boundary falls inside a parameter and off the 4-wide AVX2 grid.
+  const std::size_t parts = common::ThreadPool::global().concurrency();
+  if (parts == 1) GTEST_SKIP() << "one-participant pool: regions run inline";
+  const std::size_t chunk = 8193;  // the pool's chunk: total / parts
+  const std::size_t total = parts * chunk;
+  ASSERT_GE(total, la::kParallelAdamElements);
+  const std::vector<std::size_t> sizes = {chunk + 2, total - chunk - 7, 5};
+  ASSERT_NE(chunk % 4, 0u);
+  ASSERT_NE((2 * chunk - sizes[0]) % 4, 0u);
+
+  common::Rng rng(808);
+  std::vector<std::unique_ptr<nn::Parameter>> owned;
+  std::vector<nn::Parameter*> params;
+  std::vector<std::vector<double>> ref_value;
+  std::vector<std::vector<double>> ref_m;
+  std::vector<std::vector<double>> ref_v;
+  for (const std::size_t size : sizes) {
+    owned.push_back(
+        std::make_unique<nn::Parameter>(random_matrix(1, size, rng)));
+    params.push_back(owned.back().get());
+    const auto& v = owned.back()->value.data();
+    ref_value.emplace_back(v.begin(), v.end());
+    ref_m.emplace_back(size, 0.0);
+    ref_v.emplace_back(size, 0.0);
+  }
+
+  nn::Adam adam(params, 1e-3, 0.9, 0.999, 1e-8, 1e-6);
+  for (int t = 1; t <= 3; ++t) {
+    for (nn::Parameter* p : params) {
+      for (auto& g : p->grad.data()) g = rng.normal();
+    }
+    adam.step();
+    la::AdamStepConstants c;
+    c.lr = 1e-3;
+    c.beta1 = 0.9;
+    c.beta2 = 0.999;
+    c.eps = 1e-8;
+    c.weight_decay = 1e-6;
+    c.bias_corr1 = 1.0 - std::pow(c.beta1, static_cast<double>(t));
+    c.bias_corr2 = 1.0 - std::pow(c.beta2, static_cast<double>(t));
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      la::fused_adam_update(ref_value[i].data(), ref_m[i].data(),
+                            ref_v[i].data(), params[i]->grad.data().data(),
+                            sizes[i], c);
+    }
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const auto& v = params[i]->value.data();
+    for (std::size_t j = 0; j < sizes[i]; ++j) {
+      ASSERT_EQ(v[j], ref_value[i][j]) << "parameter " << i << " element " << j;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sharded training determinism.
 
@@ -273,6 +328,35 @@ TEST(ShardedTraining, SkippingDiscriminatorGradsInGStepKeepsTrajectory) {
                               sharded_full_gan.generator_network());
 }
 
+TEST(PoolRegions, CganFitOnCallerMatchesFitInsidePoolTask) {
+  // On the caller, a step's GEMM, Adam and Tanh regions split across the
+  // pool; inside a pool task every region runs inline.  Sized so all three
+  // cross their split thresholds.
+  const std::size_t inv = 32;
+  const std::size_t var = 40;
+  const GanFixture f = make_gan_fixture(128, inv, var);
+  core::CganOptions opts;
+  opts.hidden = {96, 96};
+  opts.epochs = 2;
+  opts.batch_size = 64;
+  ASSERT_GE(opts.batch_size * var, la::kParallelTanhElements);
+  ASSERT_GE(opts.batch_size * 96 * 96, la::kParallelFlopThreshold);
+
+  core::ConditionalGAN on_caller(inv, var, opts, 13);
+  core::ConditionalGAN in_task(inv, var, opts, 13);
+  on_caller.fit(f.x_inv, f.x_var, f.labels, 3);
+  common::ThreadPool::global()
+      .submit([&] { in_task.fit(f.x_inv, f.x_var, f.labels, 3); })
+      .get();
+  std::size_t g_elements = 0;
+  for (const nn::Parameter* p : on_caller.generator_network()->parameters()) {
+    g_elements += p->value.size();
+  }
+  EXPECT_GE(g_elements, la::kParallelAdamElements);
+  expect_params_bitwise_equal(on_caller.generator_network(),
+                              in_task.generator_network());
+}
+
 TEST(ShardedTraining, AutoencoderSerialThreadedBitwiseIdentical) {
   const GanFixture f = make_gan_fixture(96, 5, 7);
   core::AutoencoderOptions opts;
@@ -342,38 +426,6 @@ TEST(TrainingAllocations, SteadyStateStepAllocatesNothing) {
   }
   EXPECT_EQ(la::matrix_allocations(), before)
       << "training steps must not allocate after warm-up";
-}
-
-// ---------------------------------------------------------------------------
-// Packed engine vs legacy layer path, end to end.
-
-TEST(TrainingBackendParity, CganFitMatchesLegacyUnderForcedIsa) {
-  BackendGuard backend_guard;
-  IsaGuard isa_guard;
-  // Force one ISA for both runs so the only difference is the packed
-  // engine's kernel/loop structure vs the legacy matmul path.
-  la::set_gemm_isa(la::GemmIsa::Scalar);
-  const GanFixture f = make_gan_fixture(128, 6, 8);
-
-  nn::set_training_backend(nn::TrainingBackend::Packed);
-  core::ConditionalGAN packed_gan(6, 8, tiny_gan_options(), 7);
-  packed_gan.fit(f.x_inv, f.x_var, f.labels, 3);
-
-  nn::set_training_backend(nn::TrainingBackend::Legacy);
-  core::ConditionalGAN legacy_gan(6, 8, tiny_gan_options(), 7);
-  legacy_gan.fit(f.x_inv, f.x_var, f.labels, 3);
-
-  const auto pp = packed_gan.generator_network()->parameters();
-  const auto lp = legacy_gan.generator_network()->parameters();
-  ASSERT_EQ(pp.size(), lp.size());
-  for (std::size_t p = 0; p < pp.size(); ++p) {
-    const auto& dp = pp[p]->value.data();
-    const auto& dl = lp[p]->value.data();
-    ASSERT_EQ(dp.size(), dl.size());
-    for (std::size_t i = 0; i < dp.size(); ++i) {
-      ASSERT_NEAR(dp[i], dl[i], 1e-6) << "param " << p << " element " << i;
-    }
-  }
 }
 
 }  // namespace

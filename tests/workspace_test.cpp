@@ -3,13 +3,18 @@
 // performs zero heap matrix allocations.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "common/rng.hpp"
 #include "la/matrix.hpp"
 #include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/dropout.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/parallel_sum.hpp"
 #include "nn/sequential.hpp"
 #include "nn/workspace.hpp"
 
@@ -98,6 +103,76 @@ TEST(WorkspaceTest, BatchSizeShrinkStaysAllocationFree) {
   step(x_full, y_full);  // alternating sizes reuse the larger capacity
   step(x_tail, y_tail);
   EXPECT_EQ(la::matrix_allocations(), before);
+}
+
+// The CGAN generator's shape: a skip Linear and a Linear/ReLU/BN trunk
+// summed, then tanh -- so the first layer is a ParallelSum whose branches
+// both start with a Linear.
+std::unique_ptr<Sequential> make_generator_like(std::uint64_t seed) {
+  common::Rng rng(seed);
+  auto trunk = std::make_unique<Sequential>();
+  trunk->emplace<Linear>(10, 16, rng);
+  trunk->emplace<ReLU>();
+  trunk->emplace<BatchNorm1d>(16);
+  trunk->emplace<Linear>(16, 6, rng);
+  auto net = std::make_unique<Sequential>();
+  net->add(std::make_unique<ParallelSum>(std::make_unique<Linear>(10, 6, rng),
+                                         std::move(trunk)));
+  net->emplace<Tanh>();
+  return net;
+}
+
+std::unique_ptr<Sequential> make_discriminator_like(std::uint64_t seed) {
+  common::Rng rng(seed);
+  auto net = std::make_unique<Sequential>();
+  net->emplace<Linear>(10, 16, rng);
+  net->emplace<LeakyReLU>(0.2);
+  net->emplace<Dropout>(0.3, rng.split(16));
+  net->emplace<Linear>(16, 1, rng);
+  net->emplace<Sigmoid>();
+  return net;
+}
+
+void expect_param_grads_bitwise_equal(Sequential& a, Sequential& b) {
+  const auto pa = a.parameters();
+  const auto pb = b.parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t p = 0; p < pa.size(); ++p) {
+    ASSERT_EQ(pa[p]->grad.size(), pb[p]->grad.size());
+    ASSERT_EQ(std::memcmp(pa[p]->grad.data().data(),
+                          pb[p]->grad.data().data(),
+                          pa[p]->grad.size() * sizeof(double)),
+              0)
+        << "parameter " << p;
+  }
+}
+
+TEST(WorkspaceTest, DisabledInputGradKeepsParameterGradsBitwise) {
+  for (const bool generator : {true, false}) {
+    SCOPED_TRACE(generator ? "generator-like" : "discriminator-like");
+    auto with_dx = generator ? make_generator_like(5) : make_discriminator_like(5);
+    auto without_dx =
+        generator ? make_generator_like(5) : make_discriminator_like(5);
+    common::Rng rng(17);
+    const la::Matrix x = la::Matrix::randn(12, 10, rng);
+    const std::size_t out_cols = generator ? 6 : 1;
+    Workspace ws_on;
+    Workspace ws_off;
+    for (int step = 0; step < 2; ++step) {
+      const la::Matrix g = la::Matrix::randn(12, out_cols, rng);
+      with_dx->forward(x, /*training=*/true, ws_on);
+      without_dx->forward(x, /*training=*/true, ws_off);
+      with_dx->backward(g, ws_on);
+      ws_off.set_input_grad_enabled(false);
+      without_dx->backward(g, ws_off);
+      // The caller's flag survives the pass; only the first layer saw it.
+      EXPECT_FALSE(ws_off.input_grad_enabled());
+      ws_off.set_input_grad_enabled(true);
+      expect_param_grads_bitwise_equal(*with_dx, *without_dx);
+    }
+    // Skipped dX means fewer packs: no transposed pack for a first Linear.
+    EXPECT_LT(ws_off.num_packs(), ws_on.num_packs());
+  }
 }
 
 }  // namespace
