@@ -45,7 +45,6 @@
 #include "models/factory.hpp"
 #include "obs/journal.hpp"
 #include "obs/perfetto_export.hpp"
-#include "obs/slo.hpp"
 #include "serve/daemon.hpp"
 #include "serving_bench.hpp"
 
@@ -282,10 +281,13 @@ int main() {
   std::printf("packed plans %s\n",
               pipeline.serving_plans_active() ? "active" : "UNAVAILABLE");
 
-  obs::SloOptions slo;
-  slo.latency_target_ms = kSloTargetMs;
-  slo.gauge_prefix = "serve.slo";
-  obs::configure_serving_slo(slo);
+  // Every phase's daemon tracks the same SLO target in its own tracker.
+  const auto serve_options = [] {
+    serve::ServeOptions o;
+    o.slo.latency_target_ms = kSloTargetMs;
+    o.slo.gauge_prefix = "serve.slo";
+    return o;
+  };
   obs::FlightRecorder::global().set_enabled(true);
 
   const la::Matrix& test = split.target_test.x;
@@ -293,7 +295,7 @@ int main() {
   // -- Phase 1a: closed-loop, micro-batching disabled -----------------------
   ClosedLoopResult batch1;
   {
-    serve::ServeOptions opt;
+    serve::ServeOptions opt = serve_options();
     opt.batch.min_batch_rows = 1;
     opt.batch.max_batch_rows = 1;
     serve::ServeDaemon daemon(pipeline, opt);
@@ -307,7 +309,7 @@ int main() {
   ClosedLoopResult adaptive;
   std::uint64_t swaps = 0;
   {
-    serve::ServeOptions opt;  // adaptive defaults (cap 64)
+    serve::ServeOptions opt = serve_options();  // adaptive (cap 64)
     serve::ServeDaemon daemon(pipeline, opt);
     daemon.start();
     std::atomic<bool> stop_swapper{false};
@@ -339,7 +341,7 @@ int main() {
   // -- Phase 2: open-loop overload against a small admission queue ----------
   OverloadResult overload;
   {
-    serve::ServeOptions opt;
+    serve::ServeOptions opt = serve_options();
     opt.max_queue_depth = 64;
     serve::ServeDaemon daemon(pipeline, opt);
     daemon.start();

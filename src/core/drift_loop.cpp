@@ -523,13 +523,12 @@ DriftLoop::Result DriftLoop::run_adaptation(const Job& job) {
     r.reason = built.reason.empty() ? "candidate build failed" : built.reason;
     return r;
   }
-  // Validation runs on whichever thread built the candidate; the layer
-  // path's classifier workspace is only safe when serving cannot race it.
+  // Validation runs on whichever thread built the candidate; layer-API
+  // scoring serializes with serving inside the pipeline.
   const ValidationVerdict v = [&] {
     FSDA_EVENT_SCOPE(fsda::obs::EventCategory::Drift, "readapt.validate");
-    return pipeline_.validate_generation(
-        built.generation, options_.validation,
-        /*allow_layer_path=*/!options_.background);
+    return pipeline_.validate_generation(built.generation,
+                                         options_.validation);
   }();
   r.accuracy = v.accuracy;
   if (!v.ok) {

@@ -10,7 +10,6 @@
 #include "core/cgan.hpp"
 #include "la/view.hpp"
 #include "models/neural.hpp"
-#include "obs/inference_metrics.hpp"
 #include "obs/metrics.hpp"
 
 namespace fsda::core {
@@ -142,10 +141,33 @@ std::unique_ptr<InferenceSession> InferenceSession::build(
   return s;
 }
 
+namespace {
+
+/// Row chunks a batch of `rows` rows splits into: one per pool participant
+/// at and above kParallelRows, one (inline) below it or when the caller
+/// already occupies a pool participant slot.
+std::size_t chunk_count(std::size_t rows) {
+  if (rows < InferenceSession::kParallelRows ||
+      common::ThreadPool::in_worker()) {
+    return 1;
+  }
+  return std::min(common::ThreadPool::global().concurrency(), rows);
+}
+
+}  // namespace
+
 void InferenceSession::ServeContext::reserve(std::size_t rows) {
   if (rows == 0) return;
   const InferenceSession& s = *owner_;
-  s.clf_plan_->reserve(rows, clf_ws_);
+  // Every chunk workspace is reserved for the full row count, which no
+  // chunk can exceed, so any batch size <= rows runs allocation-free.
+  const std::size_t chunks =
+      rows >= kParallelRows ? common::ThreadPool::global().concurrency() : 1;
+  if (chunks_.size() < chunks) chunks_.resize(chunks);
+  for (Chunk& c : chunks_) {
+    s.clf_plan_->reserve(rows, c.clf_ws);
+    if (s.gen_plan_.has_value()) s.gen_plan_->reserve(rows, c.gen_ws);
+  }
   switch (s.mode_) {
     case Mode::Direct:
       break;
@@ -160,7 +182,6 @@ void InferenceSession::ServeContext::reserve(std::size_t rows) {
       noise_.resize(rows, nz);
       if (!s.map_.identity) recon_.resize(rows, s.gan_->var_dim());
       if (s.monte_carlo_m_ > 1) mc_tmp_.resize(rows, s.num_classes_);
-      s.gen_plan_->reserve(rows, gen_ws_);
       break;
     }
   }
@@ -171,11 +192,33 @@ InferenceSession::create_serve_context(std::uint64_t noise_seed) const {
   return std::unique_ptr<ServeContext>(new ServeContext(this, noise_seed));
 }
 
+std::unique_ptr<InferenceSession::ServeContext>
+InferenceSession::create_serve_context() const {
+  return std::unique_ptr<ServeContext>(new ServeContext(this, std::nullopt));
+}
+
 void InferenceSession::predict_proba_scaled(const la::Matrix& x,
                                             la::Matrix& proba,
                                             ServeContext& ctx) const {
   FSDA_CHECK_MSG(ctx.owner_ == this,
                  "ServeContext bound to a different InferenceSession");
+  // Static handles: the registry is leaked, so these references never
+  // dangle.  The recon.* counters are the ones the layer path bumps, so
+  // dashboards agree across paths.
+  static auto& registry = obs::MetricsRegistry::global();
+  static obs::Counter& samples_total = registry.counter(
+      "inference.samples_total",
+      "samples served through the packed inference session");
+  static obs::HdrHistogram& batch_latency_ms = registry.hdr(
+      "inference.batch_latency_ms", obs::HdrOptions{},
+      "inference session batch latency (ms), log-linear quantile histogram");
+  static obs::Gauge& samples_per_second = registry.gauge(
+      "inference.samples_per_second",
+      "throughput of the most recent inference session batch");
+  static obs::Counter& draws_total = registry.counter(
+      "recon.draws_total", "Monte-Carlo reconstruction draws performed");
+  static obs::Counter& recon_rows_total = registry.counter(
+      "recon.rows_total", "rows passed through the reconstructor");
   common::Stopwatch timer;
   const std::size_t rows = x.rows();
   proba.resize(rows, num_classes_);
@@ -184,6 +227,25 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
                  "InferenceSession: batch has " << x.cols()
                                                 << " columns, gathers need "
                                                 << min_input_cols_);
+
+  // Runs body(begin, end, chunk) over [0, rows): inline as one chunk, or
+  // split across the pool with each chunk on its own context workspaces.
+  // The chunk vector is sized here, before any chunk runs.
+  const std::size_t chunks = chunk_count(rows);
+  if (ctx.chunks_.size() < chunks) ctx.chunks_.resize(chunks);
+  auto for_chunks = [&](auto&& body) {
+    if (chunks == 1) {
+      body(std::size_t{0}, rows, ctx.chunks_[0]);
+      return;
+    }
+    const std::size_t step = (rows + chunks - 1) / chunks;
+    const std::size_t used = (rows + step - 1) / step;
+    common::parallel_for(used, [&](std::size_t c) {
+      const std::size_t b = c * step;
+      body(b, std::min(rows, b + step), ctx.chunks_[c]);
+    });
+  };
+
   switch (mode_) {
     case Mode::Direct:
     case Mode::Select: {
@@ -193,7 +255,10 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
         gather_cols(x, cols_, ctx.selected_);
         in = ctx.selected_;
       }
-      clf_plan_->run(in, la::MatrixView(proba), ctx.clf_ws_);
+      for_chunks([&](std::size_t b, std::size_t e, ServeContext::Chunk& c) {
+        clf_plan_->run(in.row_block(b, e - b),
+                       la::MatrixView(proba).row_block(b, e - b), c.clf_ws);
+      });
       break;
     }
     case Mode::Reconstruct: {
@@ -207,6 +272,7 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
         gather_cols(x, cols_,
                     la::MatrixView(ctx.assembled_).col_block(0, inv));
       } else {
+        // Raw columns are draw-invariant: scatter them once per batch.
         const la::ConstMatrixView xv(x);
         la::MatrixView av(ctx.assembled_);
         for (std::size_t r = 0; r < rows; ++r) {
@@ -218,18 +284,16 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
         }
         ctx.recon_.resize(rows, var);
       }
-      static obs::Counter& draws_total =
-          obs::MetricsRegistry::global().counter(
-              "recon.draws_total", "Monte-Carlo reconstruction draws performed");
-      static obs::Counter& recon_rows_total =
-          obs::MetricsRegistry::global().counter(
-              "recon.rows_total", "rows passed through the reconstructor");
       for (std::size_t m = 0; m < monte_carlo_m_; ++m) {
         draws_total.inc();
         recon_rows_total.inc(rows);
-        // Noise comes from the context's private stream: valid draws from
-        // the same N(0,1) law, decorrelated across concurrent workers.
-        gan_->sample_noise_into(rows, ctx.noise_, ctx.rng_);
+        // Noise is drawn serially before any chunk runs, and chunks only
+        // read it, so split and inline execution are bitwise-identical.
+        if (ctx.reconstructor_stream_) {
+          gan_->sample_noise_into(rows, ctx.noise_);
+        } else {
+          gan_->sample_noise_into(rows, ctx.noise_, ctx.rng_);
+        }
         la::MatrixView zdst = la::MatrixView(ctx.g_in_).col_block(inv, nz);
         const la::ConstMatrixView zsrc(ctx.noise_);
         for (std::size_t r = 0; r < rows; ++r) {
@@ -237,193 +301,25 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
         }
         la::Matrix& dst = m == 0 ? proba : ctx.mc_tmp_;
         dst.resize(rows, num_classes_);
-        if (map_.identity) {
-          gen_plan_->run(la::ConstMatrixView(ctx.g_in_),
-                         la::MatrixView(ctx.assembled_).col_block(inv, var),
-                         ctx.gen_ws_);
-        } else {
-          gen_plan_->run(la::ConstMatrixView(ctx.g_in_),
-                         la::MatrixView(ctx.recon_), ctx.gen_ws_);
-          const la::ConstMatrixView rv(ctx.recon_);
-          la::MatrixView av(ctx.assembled_);
-          for (std::size_t r = 0; r < rows; ++r) {
-            const double* in = rv.row_data(r);
-            double* out = av.row_data(r);
-            for (std::size_t i = 0; i < recon_dst_.size(); ++i) {
-              out[recon_dst_[i]] = in[recon_src_[i]];
-            }
-          }
-        }
-        clf_plan_->run(la::ConstMatrixView(ctx.assembled_),
-                       la::MatrixView(dst), ctx.clf_ws_);
-        if (m > 0) proba += ctx.mc_tmp_;
-      }
-      proba *= 1.0 / static_cast<double>(monte_carlo_m_);
-      break;
-    }
-  }
-
-  auto& im = obs::InferenceMetrics::global();
-  im.samples_total.inc(rows);
-  const double ms = timer.millis();
-  im.batch_latency_ms.record(ms);
-  im.samples_per_second.set(ms > 0.0 ? 1000.0 * static_cast<double>(rows) / ms
-                                     : 0.0);
-}
-
-void InferenceSession::reserve_batch(std::size_t rows) {
-  if (rows == 0) return;
-  switch (mode_) {
-    case Mode::Direct:
-      break;
-    case Mode::Select:
-      selected_.resize(rows, cols_.size());
-      break;
-    case Mode::Reconstruct: {
-      const std::size_t inv = cols_.size();
-      const std::size_t nz = gan_->noise_dim();
-      assembled_.resize(rows, clf_plan_->in_features());
-      g_in_.resize(rows, inv + nz);
-      noise_.resize(rows, nz);
-      if (!map_.identity) recon_.resize(rows, gan_->var_dim());
-      if (monte_carlo_m_ > 1) mc_tmp_.resize(rows, num_classes_);
-      break;
-    }
-  }
-  // One chunk workspace per region participant (the pool workers plus the
-  // calling thread); each is reserved for the full row count, which no
-  // chunk can exceed.
-  const std::size_t want =
-      threading_enabled_ ? common::ThreadPool::global().concurrency() : 1;
-  std::lock_guard<std::mutex> lk(ctx_mu_);
-  while (ctx_pool_.size() < want) {
-    ctx_pool_.push_back(std::make_unique<Ctx>());
-    ctx_free_.push_back(ctx_pool_.back().get());
-  }
-  for (auto& c : ctx_pool_) {
-    clf_plan_->reserve(rows, c->clf_ws);
-    if (gen_plan_.has_value()) gen_plan_->reserve(rows, c->gen_ws);
-  }
-}
-
-InferenceSession::Ctx* InferenceSession::acquire_ctx() {
-  std::lock_guard<std::mutex> lk(ctx_mu_);
-  if (!ctx_free_.empty()) {
-    Ctx* c = ctx_free_.back();
-    ctx_free_.pop_back();
-    return c;
-  }
-  ctx_pool_.push_back(std::make_unique<Ctx>());
-  return ctx_pool_.back().get();
-}
-
-void InferenceSession::release_ctx(Ctx* ctx) {
-  std::lock_guard<std::mutex> lk(ctx_mu_);
-  ctx_free_.push_back(ctx);
-}
-
-void InferenceSession::predict_proba_scaled(const la::Matrix& x,
-                                            la::Matrix& proba) {
-  common::Stopwatch timer;
-  const std::size_t rows = x.rows();
-  proba.resize(rows, num_classes_);
-  if (rows == 0) return;
-  FSDA_CHECK_MSG(x.cols() >= min_input_cols_,
-                 "InferenceSession: batch has " << x.cols()
-                                                << " columns, gathers need "
-                                                << min_input_cols_);
-
-  // Shards [0, rows) over the global pool; each chunk borrows a Ctx so
-  // concurrent chunks never share plan workspaces.  The single-row (and
-  // serial) path calls the body directly -- no task queue, no std::function.
-  auto run_chunked = [&](auto&& body) {
-    if (threading_enabled_ && rows > 1 && !common::ThreadPool::in_worker()) {
-      common::parallel_for_chunked(rows, [&](std::size_t b, std::size_t e) {
-        Ctx* ctx = acquire_ctx();
-        body(b, e, *ctx);
-        release_ctx(ctx);
-      });
-    } else {
-      Ctx* ctx = acquire_ctx();
-      body(0, rows, *ctx);
-      release_ctx(ctx);
-    }
-  };
-
-  switch (mode_) {
-    case Mode::Direct:
-    case Mode::Select: {
-      la::ConstMatrixView in(x);
-      if (mode_ == Mode::Select) {
-        selected_.resize(rows, cols_.size());
-        gather_cols(x, cols_, selected_);
-        in = selected_;
-      }
-      run_chunked([&](std::size_t b, std::size_t e, Ctx& ctx) {
-        clf_plan_->run(in.row_block(b, e - b),
-                       la::MatrixView(proba).row_block(b, e - b), ctx.clf_ws);
-      });
-      break;
-    }
-    case Mode::Reconstruct: {
-      const std::size_t inv = cols_.size();
-      const std::size_t var = gan_->var_dim();
-      const std::size_t nz = gan_->noise_dim();
-      assembled_.resize(rows, clf_plan_->in_features());
-      g_in_.resize(rows, inv + nz);
-      gather_cols(x, cols_, la::MatrixView(g_in_).col_block(0, inv));
-      if (map_.identity) {
-        gather_cols(x, cols_, la::MatrixView(assembled_).col_block(0, inv));
-      } else {
-        // Raw columns are draw-invariant: scatter them once per batch.
-        const la::ConstMatrixView xv(x);
-        la::MatrixView av(assembled_);
-        for (std::size_t r = 0; r < rows; ++r) {
-          const double* in = xv.row_data(r);
-          double* out = av.row_data(r);
-          for (std::size_t i = 0; i < raw_dst_.size(); ++i) {
-            out[raw_dst_[i]] = in[raw_src_[i]];
-          }
-        }
-        recon_.resize(rows, var);
-      }
-      // Same counters the layer path bumps, so dashboards agree.
-      static obs::Counter& draws_total =
-          obs::MetricsRegistry::global().counter(
-              "recon.draws_total", "Monte-Carlo reconstruction draws performed");
-      static obs::Counter& recon_rows_total =
-          obs::MetricsRegistry::global().counter(
-              "recon.rows_total", "rows passed through the reconstructor");
-      for (std::size_t m = 0; m < monte_carlo_m_; ++m) {
-        draws_total.inc();
-        recon_rows_total.inc(rows);
-        // Noise is drawn serially from the GAN's stream -- exactly the
-        // sequence reconstruct() would consume -- then chunks only read it,
-        // so threaded and serial execution are bitwise-identical.
-        gan_->sample_noise_into(rows, noise_);
-        la::MatrixView zdst = la::MatrixView(g_in_).col_block(inv, nz);
-        const la::ConstMatrixView zsrc(noise_);
-        for (std::size_t r = 0; r < rows; ++r) {
-          std::copy_n(zsrc.row_data(r), nz, zdst.row_data(r));
-        }
-        la::Matrix& dst = m == 0 ? proba : mc_tmp_;
-        dst.resize(rows, num_classes_);
-        run_chunked([&](std::size_t b, std::size_t e, Ctx& ctx) {
+        for_chunks([&](std::size_t b, std::size_t e, ServeContext::Chunk& c) {
           const std::size_t n = e - b;
+          const la::ConstMatrixView g_in =
+              la::ConstMatrixView(ctx.g_in_).row_block(b, n);
           if (map_.identity) {
             // The generator writes its rows straight into the variant block
             // of the assembled classifier input -- no hcat, no copies.
             gen_plan_->run(
-                la::ConstMatrixView(g_in_).row_block(b, n),
-                la::MatrixView(assembled_).col_block(inv, var).row_block(b, n),
-                ctx.gen_ws);
+                g_in,
+                la::MatrixView(ctx.assembled_).col_block(inv, var).row_block(b,
+                                                                             n),
+                c.gen_ws);
           } else {
             // Cross-partition map: generate into the recon buffer, then
             // scatter the mapped columns into the trained input order.
-            gen_plan_->run(la::ConstMatrixView(g_in_).row_block(b, n),
-                           la::MatrixView(recon_).row_block(b, n), ctx.gen_ws);
-            const la::ConstMatrixView rv(recon_);
-            la::MatrixView av(assembled_);
+            gen_plan_->run(g_in, la::MatrixView(ctx.recon_).row_block(b, n),
+                           c.gen_ws);
+            const la::ConstMatrixView rv(ctx.recon_);
+            la::MatrixView av(ctx.assembled_);
             for (std::size_t r = b; r < e; ++r) {
               const double* in = rv.row_data(r);
               double* out = av.row_data(r);
@@ -432,22 +328,21 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
               }
             }
           }
-          clf_plan_->run(la::ConstMatrixView(assembled_).row_block(b, n),
-                         la::MatrixView(dst).row_block(b, n), ctx.clf_ws);
+          clf_plan_->run(la::ConstMatrixView(ctx.assembled_).row_block(b, n),
+                         la::MatrixView(dst).row_block(b, n), c.clf_ws);
         });
-        if (m > 0) proba += mc_tmp_;
+        if (m > 0) proba += ctx.mc_tmp_;
       }
       proba *= 1.0 / static_cast<double>(monte_carlo_m_);
       break;
     }
   }
 
-  auto& im = obs::InferenceMetrics::global();
-  im.samples_total.inc(rows);
+  samples_total.inc(rows);
   const double ms = timer.millis();
-  im.batch_latency_ms.record(ms);
-  im.samples_per_second.set(ms > 0.0 ? 1000.0 * static_cast<double>(rows) / ms
-                                     : 0.0);
+  batch_latency_ms.record(ms);
+  samples_per_second.set(ms > 0.0 ? 1000.0 * static_cast<double>(rows) / ms
+                                  : 0.0);
 }
 
 }  // namespace fsda::core

@@ -5,30 +5,33 @@
 // the CGAN generator and the neural classifier are compiled once -- weights
 // packed into the panel-major GEMM layout, activations fused, dropout and
 // batch-norm folded -- and every subsequent prediction executes into
-// session-owned buffers with zero steady-state heap allocations.
+// context-owned buffers with zero steady-state heap allocations.
 //
 // The session serves the same three separation regimes as the layer-API
 // path (FS-only / no-reconstructor / full FS+GAN) and reproduces its
-// numerics: the generator consumes the GAN's own noise stream in the same
-// order as reconstruct(), and the plan forwards match the layer forwards
-// to ~1e-12 under either GEMM kernel.
+// numerics: the plan forwards match the layer forwards to ~1e-12 under
+// either GEMM kernel, and a context made by create_serve_context() (no
+// seed) consumes the GAN's own noise stream in the same order as
+// reconstruct().
 //
 // build() returns nullptr whenever the classifier or reconstructor is not
 // plan-compatible (non-MLP classifier, MeanImpute fallback, unsupported
 // layer kinds); the pipeline then falls back to the layer API untouched.
 // Health guardrails (quarantine, clamp envelope, uniform-row rewrites) stay
-// in the predict_proba wrapper and therefore apply to both paths.
+// in the pipeline's one scoring body and therefore apply to both paths.
 //
-// Micro-batches are sharded over the global ThreadPool (noise is drawn
-// serially first, so serial and threaded execution are bitwise-identical);
-// single samples run inline.  predict_proba_scaled is not re-entrant --
-// call it from one thread at a time, as with the pipeline itself.
+// A session is immutable after build.  predict_proba_scaled has one body:
+// it draws the batch's noise serially from the context's stream, then
+// splits rows across the global ThreadPool when the batch has at least
+// kParallelRows rows and the caller is not already inside a pool region
+// (serial and split execution are bitwise-identical).  Every mutable
+// buffer lives in the ServeContext, so distinct contexts may run
+// concurrently on one session.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -85,32 +88,42 @@ class InferenceSession {
                                                  std::size_t monte_carlo_m,
                                                  bool use_reconstruction);
 
-  /// The packed equivalent of FsGanPipeline::predict_proba_scaled: `x` is
-  /// the scaled, sanitized batch in original feature order; `proba` is
-  /// resized to rows x num_classes.  Allocation-free once warm.
-  void predict_proba_scaled(const la::Matrix& x, la::Matrix& proba);
+  /// Batches with at least this many rows split across
+  /// ThreadPool::global(); smaller ones run inline on the caller.  Measured
+  /// inline vs split on the 156-feature quick layout (4-vCPU AVX2,
+  /// DESIGN.md §11): a lone caller gains from the split at every batch
+  /// size from 2 rows (b2 20.7 -> 17.1 us, b8 49 -> 33, b64 284 -> 138).
+  static constexpr std::size_t kParallelRows = 2;
 
-  /// Per-caller execution context for the concurrent serving path: all
-  /// per-call buffers, private plan workspaces, and an independent noise
-  /// stream.  One context belongs to one thread at a time; with distinct
-  /// contexts, predict_proba_scaled(x, proba, ctx) is safe to call from
-  /// many threads at once (the compiled plans are immutable and shared).
-  /// A context is bound to the session that created it -- after a model
-  /// hot-swap, build a fresh context from the new session.
+  /// Per-caller execution context: all per-call buffers, one pair of plan
+  /// workspaces per row chunk, and the reconstruction-noise stream.  One
+  /// context belongs to one thread at a time; with distinct contexts,
+  /// predict_proba_scaled is safe to call from many threads at once (the
+  /// compiled plans are immutable and shared).  A context is bound to the
+  /// session that created it -- after a model hot-swap, build a fresh
+  /// context from the new session.
   class ServeContext {
    public:
-    /// Pre-sizes every buffer for batches of up to `rows` rows, so calls
-    /// at any batch size <= rows are allocation-free from the first one.
+    /// Pre-sizes every buffer and chunk workspace for batches of up to
+    /// `rows` rows, so calls at any batch size <= rows are allocation-free
+    /// from the first one.
     void reserve(std::size_t rows);
 
    private:
     friend class InferenceSession;
-    ServeContext(const InferenceSession* owner, std::uint64_t noise_seed)
-        : owner_(owner), rng_(noise_seed) {}
+    struct Chunk {
+      nn::InferenceWorkspace gen_ws;
+      nn::InferenceWorkspace clf_ws;
+    };
+    ServeContext(const InferenceSession* owner,
+                 std::optional<std::uint64_t> noise_seed)
+        : owner_(owner),
+          rng_(noise_seed.value_or(0)),
+          reconstructor_stream_(!noise_seed.has_value()) {}
     const InferenceSession* owner_;
-    common::Rng rng_;  ///< private noise stream (Reconstruct mode)
-    nn::InferenceWorkspace gen_ws_;
-    nn::InferenceWorkspace clf_ws_;
+    common::Rng rng_;            ///< private noise stream (Reconstruct mode)
+    bool reconstructor_stream_;  ///< draw from the GAN's stream instead
+    std::vector<Chunk> chunks_;  ///< one per row chunk of a split batch
     la::Matrix selected_, assembled_, recon_, g_in_, noise_, mc_tmp_;
   };
 
@@ -120,38 +133,23 @@ class InferenceSession {
   [[nodiscard]] std::unique_ptr<ServeContext> create_serve_context(
       std::uint64_t noise_seed) const;
 
-  /// Re-entrant predict for the serving daemon: same math as the
-  /// single-caller overload, but every mutable buffer lives in `ctx` and
-  /// reconstruction noise comes from the context's own stream (the
-  /// session-owned overload consumes the GAN's stream to stay bitwise
-  /// aligned with the layer path).  Runs the batch serially on the calling
-  /// thread -- a daemon's worker pool is the parallelism.
+  /// Creates a context that draws noise from the reconstructor's own
+  /// stream, exactly as the layer API's reconstruct() does -- the reference
+  /// the packed path is checked against.  Contexts of this kind share that
+  /// stream, so only one of them may run at a time per reconstructor.
+  [[nodiscard]] std::unique_ptr<ServeContext> create_serve_context() const;
+
+  /// The packed equivalent of the layer-API predict: `x` is the scaled,
+  /// sanitized batch in original feature order; `proba` is resized to
+  /// rows x num_classes.  Allocation-free once `ctx` is warm (or reserved).
   void predict_proba_scaled(const la::Matrix& x, la::Matrix& proba,
                             ServeContext& ctx) const;
-
-  /// Grows the single-caller buffers and the chunk-workspace pool for
-  /// batches of up to `rows` rows, once; afterwards predict calls at any
-  /// batch size <= rows never reallocate, even when client batch sizes
-  /// vary from call to call (chunk boundaries -- and hence per-workspace
-  /// row counts -- move with the batch size, so without this the pool
-  /// would grow lazily toward its high-water mark).
-  void reserve_batch(std::size_t rows);
-
-  /// Toggles ThreadPool sharding of micro-batches (on by default); serial
-  /// and threaded execution produce identical output.
-  void set_threading_enabled(bool on) { threading_enabled_ = on; }
 
   [[nodiscard]] std::size_t num_classes() const { return num_classes_; }
   /// True when this session runs the generator plan (full FS+GAN regime).
   [[nodiscard]] bool reconstructs() const { return gen_plan_.has_value(); }
 
  private:
-  /// Per-execution-context workspaces (one per concurrent chunk).
-  struct Ctx {
-    nn::InferenceWorkspace gen_ws;
-    nn::InferenceWorkspace clf_ws;
-  };
-
   enum class Mode {
     Direct,       ///< classify x as-is (FS-only, empty invariant set)
     Select,       ///< classify a column gather of x
@@ -160,13 +158,9 @@ class InferenceSession {
 
   InferenceSession() = default;
 
-  Ctx* acquire_ctx();
-  void release_ctx(Ctx* ctx);
-
   Mode mode_ = Mode::Direct;
   std::size_t num_classes_ = 0;
   std::size_t monte_carlo_m_ = 1;
-  bool threading_enabled_ = true;
 
   std::optional<nn::InferencePlan> clf_plan_;
   std::optional<nn::InferencePlan> gen_plan_;
@@ -174,23 +168,11 @@ class InferenceSession {
   std::vector<std::size_t> cols_;  // gather list (Select: all, Reconstruct: inv)
   AssemblyMap map_;                // Reconstruct: classifier column routing
   std::size_t min_input_cols_ = 0;  // raw width the gathers require
-  // Non-identity scatter lists: assembled_(.,raw_dst_[i]) = x(.,raw_src_[i])
-  // once per batch; assembled_(.,recon_dst_[i]) = recon_(.,recon_src_[i])
+  // Non-identity scatter lists: assembled(.,raw_dst_[i]) = x(.,raw_src_[i])
+  // once per batch; assembled(.,recon_dst_[i]) = recon(.,recon_src_[i])
   // once per Monte-Carlo draw.
   std::vector<std::size_t> raw_dst_, raw_src_;
   std::vector<std::size_t> recon_dst_, recon_src_;
-
-  // Persistent buffers -- capacity reused across calls.
-  la::Matrix selected_;   // Select: gathered classifier input
-  la::Matrix assembled_;  // Reconstruct: classifier input in trained order
-  la::Matrix recon_;      // Reconstruct (non-identity map): generator output
-  la::Matrix g_in_;       // Reconstruct: [x_inv | z] generator input
-  la::Matrix noise_;      // Reconstruct: z draws
-  la::Matrix mc_tmp_;     // Reconstruct: per-draw probabilities (M > 1)
-
-  std::mutex ctx_mu_;
-  std::vector<std::unique_ptr<Ctx>> ctx_pool_;
-  std::vector<Ctx*> ctx_free_;
 };
 
 }  // namespace fsda::core

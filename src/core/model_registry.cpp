@@ -1,5 +1,7 @@
 #include "core/model_registry.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 
@@ -16,27 +18,15 @@ obs::Gauge& generation_gauge() {
 }  // namespace
 
 ModelRegistry::ModelRegistry(ModelRegistry&& other) noexcept {
-  std::lock_guard<std::mutex> lk(other.mu_);
-  active_.store(other.active_.load(std::memory_order_acquire),
-                std::memory_order_release);
-  other.active_.store(nullptr, std::memory_order_release);
-  previous_ = std::move(other.previous_);
-  next_id_ = other.next_id_;
-  published_.store(other.published_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  rollbacks_.store(other.rollbacks_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  retired_.store(other.retired_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
+  *this = std::move(other);
 }
 
 ModelRegistry& ModelRegistry::operator=(ModelRegistry&& other) noexcept {
   if (this == &other) return *this;
+  GenerationPtr displaced_active, displaced_previous;  // released unlocked
   std::scoped_lock lk(mu_, other.mu_);
-  active_.store(other.active_.load(std::memory_order_acquire),
-                std::memory_order_release);
-  other.active_.store(nullptr, std::memory_order_release);
-  previous_ = std::move(other.previous_);
+  displaced_active = std::exchange(active_, std::move(other.active_));
+  displaced_previous = std::exchange(previous_, std::move(other.previous_));
   next_id_ = other.next_id_;
   published_.store(other.published_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
@@ -49,31 +39,30 @@ ModelRegistry& ModelRegistry::operator=(ModelRegistry&& other) noexcept {
 
 std::uint64_t ModelRegistry::publish(std::shared_ptr<ModelGeneration> gen) {
   FSDA_CHECK_MSG(gen != nullptr, "publish of a null generation");
+  GenerationPtr displaced;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lk(mu_);
   gen->id = next_id_++;
-  previous_ = active_.load(std::memory_order_acquire);
-  const GenerationPtr frozen = std::move(gen);
-  active_.store(frozen, std::memory_order_release);
+  const std::uint64_t id = gen->id;
+  displaced = std::exchange(previous_, std::exchange(active_, std::move(gen)));
   published_.fetch_add(1, std::memory_order_relaxed);
-  generation_gauge().set(static_cast<double>(frozen->id));
-  return frozen->id;
+  generation_gauge().set(static_cast<double>(id));
+  return id;
 }
 
 bool ModelRegistry::rollback() {
   std::lock_guard<std::mutex> lk(mu_);
   if (previous_ == nullptr) return false;
-  GenerationPtr restored = previous_;
-  previous_ = active_.load(std::memory_order_acquire);
-  active_.store(restored, std::memory_order_release);
+  std::swap(active_, previous_);
   rollbacks_.fetch_add(1, std::memory_order_relaxed);
-  generation_gauge().set(static_cast<double>(restored->id));
+  generation_gauge().set(static_cast<double>(active_->id));
   return true;
 }
 
 bool ModelRegistry::retire_previous() {
+  GenerationPtr displaced;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lk(mu_);
   if (previous_ == nullptr) return false;
-  previous_ = nullptr;
+  displaced = std::move(previous_);
   retired_.fetch_add(1, std::memory_order_relaxed);
   static obs::Counter& retired_counter = obs::MetricsRegistry::global().counter(
       "model.generations_retired_total",
@@ -83,9 +72,10 @@ bool ModelRegistry::retire_previous() {
 }
 
 void ModelRegistry::reset() {
+  GenerationPtr displaced_active, displaced_previous;  // released unlocked
   std::lock_guard<std::mutex> lk(mu_);
-  previous_ = nullptr;
-  active_.store(nullptr, std::memory_order_release);
+  displaced_active = std::move(active_);
+  displaced_previous = std::move(previous_);
   generation_gauge().set(0.0);
 }
 

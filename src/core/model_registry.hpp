@@ -7,19 +7,20 @@
 // InferenceSession (when plan-compatible), and the drift reference the
 // generation was validated against.  Generations are immutable once
 // published -- re-adaptation builds a NEW generation off to the side and
-// publishes it in one atomic store.
+// publishes it with one pointer swap.
 //
-// The registry holds the active generation in a
-// std::atomic<std::shared_ptr<...>>: readers (predict_proba) take one
-// atomic load per batch and keep the snapshot alive for the duration of
-// the batch via shared ownership, so a concurrent publish or rollback
-// never blocks, tears, or frees state mid-prediction.  Exactly one
-// previous generation is retained for rollback; rollback() swaps it back
-// in (again one atomic store) when post-promotion probation detects a
-// regression.
-//
-// Writers (publish/rollback/reset) serialize on an internal mutex; readers
-// never take it.
+// The registry holds the active generation in a std::shared_ptr guarded by
+// one mutex: readers (the pipeline's scoring body) copy the pointer under
+// the lock once per batch and keep the snapshot alive for the duration of
+// the batch via shared ownership, so a concurrent publish or rollback never
+// tears or frees state mid-prediction.  The critical sections are a
+// pointer copy or swap; a generation displaced by a writer is released
+// after the lock is dropped, so no reader ever waits on a destructor.  The
+// mutex (rather than std::atomic<std::shared_ptr>) is the handoff: its
+// lock/unlock pair orders the publisher's writes before the reader's use
+// in a way ThreadSanitizer can see.  Exactly one previous generation is
+// retained for rollback; rollback() swaps it back in when post-promotion
+// probation detects a regression.
 #pragma once
 
 #include <atomic>
@@ -44,7 +45,7 @@ struct ModelGeneration {
   SeparationResult separation;     ///< partition this generation serves under
   AssemblyMap assembly;            ///< trained-order column routing
   std::shared_ptr<Reconstructor> reconstructor;  ///< null in FS / no-recon
-  std::unique_ptr<InferenceSession> session;     ///< null -> layer path
+  std::unique_ptr<const InferenceSession> session;  ///< null -> layer path
   obs::DriftMonitor drift_monitor;  ///< PSI reference for serving telemetry
   double validation_accuracy = 0.0;  ///< held-out source accuracy at publish
 };
@@ -62,11 +63,12 @@ class ModelRegistry {
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
-  /// The active generation (null before the first publish).  One relaxed
-  /// atomic load; the returned snapshot stays valid for as long as the
-  /// caller holds it, across any number of concurrent publishes.
+  /// The active generation (null before the first publish): a pointer
+  /// copy under the mutex.  The returned snapshot stays valid for as long
+  /// as the caller holds it, across any number of concurrent publishes.
   [[nodiscard]] GenerationPtr active() const {
-    return active_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lk(mu_);
+    return active_;
   }
 
   /// Id of the active generation, 0 when none.
@@ -76,7 +78,7 @@ class ModelRegistry {
   }
 
   /// Assigns the next id, retains the current active generation for
-  /// rollback, and atomically swaps `gen` in.  Returns the assigned id.
+  /// rollback, and swaps `gen` in.  Returns the assigned id.
   std::uint64_t publish(std::shared_ptr<ModelGeneration> gen);
 
   /// Swaps the retained previous generation back in (the rolled-back
@@ -108,8 +110,8 @@ class ModelRegistry {
   }
 
  private:
-  std::atomic<GenerationPtr> active_{nullptr};
-  mutable std::mutex mu_;        // serializes writers only
+  mutable std::mutex mu_;
+  GenerationPtr active_;         // guarded by mu_
   GenerationPtr previous_;       // guarded by mu_
   std::uint64_t next_id_ = 1;    // guarded by mu_
   std::atomic<std::uint64_t> published_{0};

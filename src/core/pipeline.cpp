@@ -14,7 +14,6 @@
 #include "common/stopwatch.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 
 namespace fsda::core {
@@ -228,13 +227,8 @@ void FsGanPipeline::stamp_validation_accuracy(ModelGeneration& gen,
                                               double carry) {
   gen.validation_accuracy = carry;
   if (validation_x_.rows() == 0) return;
-  la::Matrix proba;
-  if (gen.session != nullptr) {
-    gen.session->predict_proba_scaled(validation_x_, proba);
-  } else {
-    proba = predict_proba_scaled(validation_x_, gen);
-  }
-  const std::vector<std::int64_t> pred = models::argmax_rows(proba);
+  const std::vector<std::int64_t> pred =
+      models::argmax_rows(score_holdout(gen));
   std::size_t hits = 0;
   for (std::size_t r = 0; r < pred.size(); ++r) {
     if (pred[r] == validation_y_[r]) ++hits;
@@ -579,8 +573,7 @@ const la::GramStats& FsGanPipeline::source_stats() {
 }
 
 ValidationVerdict FsGanPipeline::validate_generation(
-    const std::shared_ptr<ModelGeneration>& gen, const ValidationOptions& vo,
-    bool allow_layer_path) {
+    const std::shared_ptr<ModelGeneration>& gen, const ValidationOptions& vo) {
   ValidationVerdict v;
   const GenerationPtr active = registry_.active();
   v.baseline = active != nullptr ? active->validation_accuracy : 0.0;
@@ -593,17 +586,7 @@ ValidationVerdict FsGanPipeline::validate_generation(
         "no validation holdout; set PipelineOptions::validation_rows > 0";
     return v;
   }
-  la::Matrix proba;
-  if (gen->session != nullptr) {
-    gen->session->predict_proba_scaled(validation_x_, proba);
-  } else if (allow_layer_path) {
-    proba = predict_proba_scaled(validation_x_, *gen);
-  } else {
-    v.reason =
-        "candidate is not plan-compatible and the layer path is not safe "
-        "from this thread";
-    return v;
-  }
+  const la::Matrix proba = score_holdout(*gen);
   for (const double p : proba.data()) {
     if (!std::isfinite(p)) {
       v.reason = "candidate produced non-finite probabilities";
@@ -671,19 +654,39 @@ void FsGanPipeline::set_serving_plans_enabled(bool on) {
   registry_.publish(std::move(gen));
 }
 
-la::Matrix FsGanPipeline::predict_proba_scaled(const la::Matrix& x,
-                                               const ModelGeneration& gen) {
+la::Matrix FsGanPipeline::score_holdout(const ModelGeneration& gen) {
+  const auto ctx = gen.session != nullptr ? gen.session->create_serve_context()
+                                          : nullptr;
+  la::Matrix proba;
+  predict_proba_scaled(validation_x_, gen, ctx.get(), proba);
+  return proba;
+}
+
+void FsGanPipeline::predict_proba_scaled(const la::Matrix& x,
+                                         const ModelGeneration& gen,
+                                         InferenceSession::ServeContext* ctx,
+                                         la::Matrix& proba) {
+  if (gen.session != nullptr) {
+    gen.session->predict_proba_scaled(x, proba, *ctx);
+    return;
+  }
+  // Layer-API generations share the classifier's workspaces: rare
+  // (plan-incompatible regimes only), so serialization is acceptable.
+  std::lock_guard<std::mutex> lk(*serve_layer_mu_);
   const auto& sep = gen.separation;
 
   if (!options_.use_reconstruction) {
-    if (sep.invariant.empty()) return classifier_->predict_proba(x);
-    return classifier_->predict_proba(x.select_cols(trained_order_));
+    proba = sep.invariant.empty()
+                ? classifier_->predict_proba(x)
+                : classifier_->predict_proba(x.select_cols(trained_order_));
+    return;
   }
 
   if (sep.variant.empty() || gen.reconstructor == nullptr) {
     // Nothing detected as drifting: classify the trained-order gather (all
     // columns raw under this generation's map).
-    return classifier_->predict_proba(x.select_cols(trained_order_));
+    proba = classifier_->predict_proba(x.select_cols(trained_order_));
+    return;
   }
 
   const la::Matrix x_inv = x.select_cols(sep.invariant);
@@ -694,7 +697,6 @@ la::Matrix FsGanPipeline::predict_proba_scaled(const la::Matrix& x,
   static obs::Counter& recon_rows_total =
       obs::MetricsRegistry::global().counter(
           "recon.rows_total", "rows passed through the reconstructor");
-  la::Matrix proba;
   for (std::size_t m = 0; m < options_.monte_carlo_m; ++m) {
     draws_total.inc();
     recon_rows_total.inc(x_inv.rows());
@@ -719,7 +721,6 @@ la::Matrix FsGanPipeline::predict_proba_scaled(const la::Matrix& x,
     else proba += p;
   }
   proba *= 1.0 / static_cast<double>(options_.monte_carlo_m);
-  return proba;
 }
 
 la::Matrix FsGanPipeline::predict_proba(const la::Matrix& x_raw) {
@@ -731,87 +732,20 @@ la::Matrix FsGanPipeline::predict_proba(const la::Matrix& x_raw) {
 void FsGanPipeline::predict_proba_into(const la::Matrix& x_raw,
                                        la::Matrix& proba) {
   FSDA_SPAN("pipeline.predict");
-  FSDA_CHECK_MSG(trained_, "predict before train");
-  // One atomic snapshot per batch: a concurrent promote/rollback swaps the
-  // NEXT batch's generation, never this one's mid-flight.
-  const GenerationPtr gen = registry_.active();
-  FSDA_CHECK_MSG(gen != nullptr, "predict with no published generation");
-  static auto& registry = obs::MetricsRegistry::global();
-  static obs::Counter& rows_total =
-      registry.counter("predict.rows_total", "rows scored by predict_proba");
-  static obs::Counter& batches_total = registry.counter(
-      "predict.batches_total", "predict_proba batch invocations");
-  static obs::Counter& quarantined_total = registry.counter(
-      "predict.quarantined_rows_total",
-      "inference rows quarantined for non-finite raw features");
-  static obs::Counter& clamped_total = registry.counter(
-      "predict.clamped_cells_total",
-      "scaled inference cells clamped into the envelope");
-  static obs::HdrHistogram& latency_ms = registry.hdr(
-      "predict.latency_ms", obs::HdrOptions{},
-      "predict_proba batch latency (ms), log-linear quantile histogram");
-  const bool telemetry = obs::telemetry_enabled();
-  FSDA_EVENT_SCOPE(obs::EventCategory::Serving, "predict.batch");
-  common::Stopwatch timer;
-
-  // Quarantine rows with non-finite raw features before they reach any
-  // network.  Both policies impute the scaled midpoint first (the matrix
-  // must be finite end to end); Reject additionally overwrites the
-  // quarantined rows' output with the uniform distribution.
-  const std::vector<std::size_t> bad_rows = nonfinite_rows(x_raw);
-  scaler_.transform_into(x_raw, predict_x_);
-  la::Matrix& x = predict_x_;
-  if (!bad_rows.empty()) {
-    health_.quarantined_rows += bad_rows.size();
-    quarantined_total.inc(bad_rows.size());
-    for (std::size_t r : bad_rows) {
-      for (std::size_t c = 0; c < x.cols(); ++c) {
-        if (!std::isfinite(x(r, c))) x(r, c) = 0.0;
-      }
-    }
-  }
-  std::size_t clamped_now = 0;
-  if (options_.clamp_margin >= 0.0) {
-    clamped_now = scaler_.clamp_transformed(x, options_.clamp_margin);
-    health_.clamped_cells += clamped_now;
-    clamped_total.inc(clamped_now);
-  }
-  if (telemetry) update_drift_gauges(*gen, x, bad_rows.size(), clamped_now);
-
-  if (gen->session != nullptr) {
-    gen->session->predict_proba_scaled(x, proba);
-  } else {
-    proba = predict_proba_scaled(x, *gen);
-  }
-
-  const double uniform = 1.0 / static_cast<double>(num_classes_);
-  if (!bad_rows.empty() &&
-      options_.quarantine == QuarantinePolicy::Reject) {
-    health_.rejected_rows += bad_rows.size();
-    for (std::size_t r : bad_rows) {
-      for (std::size_t c = 0; c < proba.cols(); ++c) proba(r, c) = uniform;
-    }
-  }
-
-  // Last-line guard: the pipeline never emits a non-finite probability,
-  // whatever state the classifier or reconstructor is in.
-  const std::vector<std::size_t> bad_out = nonfinite_rows(proba);
-  if (!bad_out.empty()) {
-    for (std::size_t r : bad_out) {
-      for (std::size_t c = 0; c < proba.cols(); ++c) proba(r, c) = uniform;
-    }
+  const BatchFacts facts = score(x_raw, proba, *own_slot_);
+  health_.quarantined_rows += facts.quarantined_rows;
+  health_.clamped_cells += facts.clamped_cells;
+  health_.rejected_rows += facts.rejected_rows;
+  if (facts.nonfinite_output_rows > 0) {
     health_.note_stage("predict", false,
-                       std::to_string(bad_out.size()) +
+                       std::to_string(facts.nonfinite_output_rows) +
                            " row(s) produced non-finite probabilities; "
                            "served uniform");
   }
-  rows_total.inc(x_raw.rows());
-  batches_total.inc();
-  const double elapsed_ms = timer.millis();
-  latency_ms.record(elapsed_ms);
-  // The SLO signal is always-on (it feeds admission decisions, not
-  // dashboards), like gauges.
-  obs::serving_slo().record(elapsed_ms);
+  if (obs::telemetry_enabled()) {
+    update_drift_gauges(*own_slot_->generation_, own_slot_->x_scaled_,
+                        facts.quarantined_rows, facts.clamped_cells);
+  }
 }
 
 std::unique_ptr<FsGanPipeline::ServeSlot> FsGanPipeline::create_serve_slot(
@@ -827,22 +761,31 @@ void FsGanPipeline::reserve_serve_slot(ServeSlot& slot, std::size_t rows) {
   if (slot.ctx_ != nullptr) slot.ctx_->reserve(slot.reserve_rows_);
 }
 
-void FsGanPipeline::predict_proba_serve(const la::Matrix& x_raw,
-                                        la::Matrix& proba, ServeSlot& slot) {
+BatchFacts FsGanPipeline::predict_proba_serve(const la::Matrix& x_raw,
+                                              la::Matrix& proba,
+                                              ServeSlot& slot) {
+  return score(x_raw, proba, slot);
+}
+
+BatchFacts FsGanPipeline::score(const la::Matrix& x_raw, la::Matrix& proba,
+                                ServeSlot& slot) {
   FSDA_CHECK_MSG(trained_, "predict before train");
-  // One atomic snapshot per batch, exactly like predict_proba_into.
+  // One generation snapshot per batch: a concurrent promote/rollback swaps
+  // the NEXT batch's generation, never this one's mid-flight.
   const GenerationPtr gen = registry_.active();
   FSDA_CHECK_MSG(gen != nullptr, "predict with no published generation");
   if (slot.generation_ != gen) {
     // Hot-swap (or first call): rebind the slot.  The context rebuild
-    // happens here, off the registry's writer lock, so a publish never
-    // stalls behind serving workers and vice versa.
+    // happens here, off the registry's lock, so a publish never stalls
+    // behind serving callers and vice versa.
+    slot.ctx_.reset();
     if (gen->session != nullptr) {
-      slot.ctx_ = gen->session->create_serve_context(
-          slot.noise_seed_ ^ (gen->id * 0x9e3779b97f4a7c15ULL));
+      slot.ctx_ = slot.noise_seed_.has_value()
+                      ? gen->session->create_serve_context(
+                            *slot.noise_seed_ ^
+                            (gen->id * 0x9e3779b97f4a7c15ULL))
+                      : gen->session->create_serve_context();
       if (slot.reserve_rows_ > 0) slot.ctx_->reserve(slot.reserve_rows_);
-    } else {
-      slot.ctx_.reset();
     }
     slot.generation_ = gen;
   }
@@ -863,13 +806,18 @@ void FsGanPipeline::predict_proba_serve(const la::Matrix& x_raw,
       "predict_proba batch latency (ms), log-linear quantile histogram");
   FSDA_EVENT_SCOPE(obs::EventCategory::Serving, "predict.batch");
   common::Stopwatch timer;
+  BatchFacts facts;
 
-  // Same guardrail sequence as predict_proba_into, against slot buffers.
+  // Quarantine rows with non-finite raw features before they reach any
+  // network.  Both policies impute the scaled midpoint first (the matrix
+  // must be finite end to end); Reject additionally overwrites the
+  // quarantined rows' output with the uniform distribution.
   // MinMaxScaler's transform_into/clamp_transformed are const and write
   // only through the caller's destination, so they are re-entrant.
   const std::vector<std::size_t> bad_rows = nonfinite_rows(x_raw);
   scaler_.transform_into(x_raw, slot.x_scaled_);
   la::Matrix& x = slot.x_scaled_;
+  facts.quarantined_rows = bad_rows.size();
   if (!bad_rows.empty()) {
     quarantined_total.inc(bad_rows.size());
     for (std::size_t r : bad_rows) {
@@ -879,34 +827,32 @@ void FsGanPipeline::predict_proba_serve(const la::Matrix& x_raw,
     }
   }
   if (options_.clamp_margin >= 0.0) {
-    clamped_total.inc(scaler_.clamp_transformed(x, options_.clamp_margin));
+    facts.clamped_cells = scaler_.clamp_transformed(x, options_.clamp_margin);
+    clamped_total.inc(facts.clamped_cells);
   }
 
-  if (slot.ctx_ != nullptr) {
-    gen->session->predict_proba_scaled(x, proba, *slot.ctx_);
-  } else {
-    // Layer-API generations share the classifier's workspaces: rare
-    // (plan-incompatible regimes only), so serialization is acceptable.
-    std::lock_guard<std::mutex> lk(*serve_layer_mu_);
-    proba = predict_proba_scaled(x, *gen);
-  }
+  predict_proba_scaled(x, *gen, slot.ctx_.get(), proba);
 
   const double uniform = 1.0 / static_cast<double>(num_classes_);
   if (!bad_rows.empty() && options_.quarantine == QuarantinePolicy::Reject) {
+    facts.rejected_rows = bad_rows.size();
     for (std::size_t r : bad_rows) {
       for (std::size_t c = 0; c < proba.cols(); ++c) proba(r, c) = uniform;
     }
   }
+  // Last-line guard: the pipeline never emits a non-finite probability,
+  // whatever state the classifier or reconstructor is in.
   const std::vector<std::size_t> bad_out = nonfinite_rows(proba);
+  facts.nonfinite_output_rows = bad_out.size();
   for (std::size_t r : bad_out) {
     for (std::size_t c = 0; c < proba.cols(); ++c) proba(r, c) = uniform;
   }
 
   rows_total.inc(x_raw.rows());
   batches_total.inc();
-  const double elapsed_ms = timer.millis();
-  latency_ms.record(elapsed_ms);
-  obs::serving_slo().record(elapsed_ms);
+  facts.elapsed_ms = timer.millis();
+  latency_ms.record(facts.elapsed_ms);
+  return facts;
 }
 
 void FsGanPipeline::update_drift_gauges(const ModelGeneration& gen,

@@ -17,15 +17,24 @@
 // Serving state lives in a ModelRegistry of immutable generations
 // (core/model_registry.hpp, DESIGN.md §13): train() publishes generation 1,
 // adapt_to_new_target() and the closed drift loop (core/drift_loop.hpp)
-// publish successors, and predict_proba picks up the active generation with
-// one atomic load per batch -- so a background re-adaptation can build,
+// publish successors, and every prediction picks up the active generation
+// with one snapshot per batch -- so a background re-adaptation can build,
 // validate, and hot-swap a candidate while predictions keep flowing.
+//
+// Every prediction runs one guarded scoring body (DESIGN.md §15): snapshot
+// the generation, rebind the caller's ServeSlot on a hot-swap, quarantine
+// non-finite rows, clamp into the envelope, score through the packed
+// session or the layer API, rewrite Reject rows, and guard the output.
+// predict_proba_into runs it on a slot the pipeline owns and folds the
+// batch's facts into health(); predict_proba_serve runs it on the caller's
+// slot and hands the facts back.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "causal/fnode.hpp"
@@ -102,6 +111,15 @@ struct CandidateOutcome {
   HealthReport health;  ///< candidate-fit diagnostics (never health())
 };
 
+/// What one guarded scoring call did to its batch.
+struct BatchFacts {
+  std::size_t quarantined_rows = 0;  ///< rows with non-finite raw features
+  std::size_t clamped_cells = 0;     ///< scaled cells clamped into envelope
+  std::size_t rejected_rows = 0;     ///< quarantined rows served uniform
+  std::size_t nonfinite_output_rows = 0;  ///< rows the output guard rewrote
+  double elapsed_ms = 0.0;           ///< wall time of the scoring call
+};
+
 /// Re-adaptation fast-path inputs (DESIGN.md §16), assembled by the drift
 /// loop at trigger time.  A default-constructed context reproduces the cold
 /// build exactly; each field independently enables one acceleration layer,
@@ -153,20 +171,23 @@ class FsGanPipeline {
   /// Class probabilities for raw (unscaled) target-domain samples.
   [[nodiscard]] la::Matrix predict_proba(const la::Matrix& x_raw);
   /// Destination-passing predict_proba: identical output, but scaling and
-  /// scoring reuse `proba`'s and the pipeline's persistent buffers -- the
-  /// zero-allocation serving loop once warm.  Safe to call concurrently
-  /// with a background build/validate/promote of a candidate generation
-  /// (one atomic generation snapshot per batch); NOT safe to call
-  /// concurrently with itself, train(), or adapt_to_new_target().
+  /// scoring reuse `proba`'s and the pipeline's own slot's buffers -- the
+  /// zero-allocation serving loop once warm.  Folds the batch's facts into
+  /// health() and the drift gauges and refreshes last_scaled_batch().  Its
+  /// session context draws noise from the reconstructor's own stream, so
+  /// the packed path reproduces the layer path draw for draw.  Safe to call
+  /// concurrently with a background build/validate/promote and with
+  /// predict_proba_serve; NOT safe to call concurrently with itself,
+  /// train(), or adapt_to_new_target().
   void predict_proba_into(const la::Matrix& x_raw, la::Matrix& proba);
   [[nodiscard]] std::vector<std::int64_t> predict(const la::Matrix& x_raw);
 
-  /// Per-worker serving state for the concurrent daemon path: a pinned
-  /// generation snapshot, the session context compiled against it, and a
-  /// private scaled-input buffer.  One slot belongs to one thread; with
-  /// distinct slots, predict_proba_serve is safe from many threads at once
-  /// and stays transparent across hot-swaps (the slot rebinds itself when
-  /// it notices a new active generation).
+  /// Per-caller serving state: a pinned generation snapshot, the session
+  /// context compiled against it, and a private scaled-input buffer.  One
+  /// slot belongs to one thread; with distinct slots, predict_proba_serve
+  /// is safe from many threads at once and stays transparent across
+  /// hot-swaps (the slot rebinds itself when it notices a new active
+  /// generation).
   class ServeSlot {
    public:
     /// Id of the generation the slot is currently bound to (0 = none yet).
@@ -176,8 +197,11 @@ class FsGanPipeline {
 
    private:
     friend class FsGanPipeline;
-    explicit ServeSlot(std::uint64_t noise_seed) : noise_seed_(noise_seed) {}
-    std::uint64_t noise_seed_;
+    explicit ServeSlot(std::optional<std::uint64_t> noise_seed)
+        : noise_seed_(noise_seed) {}
+    /// Seed of the slot's private noise stream; empty = the reconstructor's
+    /// own stream (the pipeline's slot).
+    std::optional<std::uint64_t> noise_seed_;
     std::size_t reserve_rows_ = 0;
     GenerationPtr generation_;
     std::unique_ptr<InferenceSession::ServeContext> ctx_;
@@ -193,17 +217,13 @@ class FsGanPipeline {
   /// across hot-swaps (a rebound slot re-reserves to its high-water mark).
   void reserve_serve_slot(ServeSlot& slot, std::size_t rows);
 
-  /// Re-entrant predict_proba_into for the serving daemon: same guardrails
-  /// (quarantine, clamp envelope, Reject rewrite, finite output guard) and
-  /// the same one-acquire-load-per-batch generation snapshot, but every
-  /// mutable buffer lives in `slot`, so concurrent callers with distinct
-  /// slots never race.  Differences from predict_proba_into: the
-  /// HealthReport is not updated (it is not thread-safe; the atomic
-  /// predict.* counters carry the same signals), last_scaled_batch() is
-  /// not refreshed, and generations without a packed session serialize on
-  /// an internal mutex (the layer classifier's workspace is shared).
-  void predict_proba_serve(const la::Matrix& x_raw, la::Matrix& proba,
-                           ServeSlot& slot);
+  /// Re-entrant predict for the serving daemon: the same guarded scoring
+  /// body as predict_proba_into, on `slot`, so concurrent callers with
+  /// distinct slots never race.  Returns the batch's facts instead of
+  /// folding them into health() (which is not thread-safe; the atomic
+  /// predict.* counters carry the same signals).
+  BatchFacts predict_proba_serve(const la::Matrix& x_raw, la::Matrix& proba,
+                                 ServeSlot& slot);
 
   // -- Generation management (the drift loop's toolkit) --------------------
 
@@ -247,13 +267,10 @@ class FsGanPipeline {
 
   /// Scores a candidate against the held-out source slice: finite scan,
   /// uniform-output fraction, accuracy floor, and max drop vs. the active
-  /// generation.  `allow_layer_path` must be false when validating from a
-  /// background thread while the serving path may use the layer API (the
-  /// layer classifier's workspace is not thread-safe); plan-compiled
-  /// candidates validate through their own session either way.
+  /// generation.  Safe from a background thread while serving runs: layer
+  /// API scoring serializes with the serving paths on one mutex.
   [[nodiscard]] ValidationVerdict validate_generation(
-      const std::shared_ptr<ModelGeneration>& gen, const ValidationOptions& vo,
-      bool allow_layer_path = true);
+      const std::shared_ptr<ModelGeneration>& gen, const ValidationOptions& vo);
 
   /// Atomically publishes a (validated) candidate; returns its id.  Sets
   /// the candidate's validation_accuracy beforehand via the verdict.
@@ -272,7 +289,7 @@ class FsGanPipeline {
   /// The scaled, sanitized form of the batch most recently passed through
   /// predict_proba_into -- what streaming drift detectors should observe.
   [[nodiscard]] const la::Matrix& last_scaled_batch() const {
-    return predict_x_;
+    return own_slot_->x_scaled_;
   }
   [[nodiscard]] std::size_t num_classes() const { return num_classes_; }
   [[nodiscard]] const PipelineOptions& options() const { return options_; }
@@ -294,13 +311,6 @@ class FsGanPipeline {
   [[nodiscard]] bool serving_plans_active() const {
     const GenerationPtr g = registry_.active();
     return g != nullptr && g->session != nullptr;
-  }
-  /// The active generation's session, or nullptr; white-box access for
-  /// tests/benchmarks (e.g. toggling micro-batch threading).  Invalidated
-  /// by train/adapt/promote.
-  [[nodiscard]] InferenceSession* serving_session() {
-    const GenerationPtr g = registry_.active();
-    return g != nullptr ? g->session.get() : nullptr;
   }
 
   /// Partition of the actively served generation.  The reference stays
@@ -341,10 +351,21 @@ class FsGanPipeline {
   std::shared_ptr<ModelGeneration> make_generation(
       SeparationResult sep, std::shared_ptr<Reconstructor> reconstructor,
       std::string provenance, const ModelGeneration* reuse = nullptr);
-  /// The pre-guardrail layer-API predict path for one generation, on
-  /// already scaled/sanitized inputs.
-  [[nodiscard]] la::Matrix predict_proba_scaled(const la::Matrix& x,
-                                                const ModelGeneration& gen);
+  /// The guarded scoring body behind both predict paths: snapshots the
+  /// active generation (rebinding `slot` on a hot-swap), scales,
+  /// quarantines and clamps into the slot, scores, rewrites Reject rows,
+  /// guards the output, and records the predict.* metrics.
+  BatchFacts score(const la::Matrix& x_raw, la::Matrix& proba,
+                   ServeSlot& slot);
+  /// Scores scaled, sanitized rows on `gen`: through `ctx` on its packed
+  /// session, or through the layer API under serve_layer_mu_ (the layer
+  /// classifier's workspaces are shared by every caller).
+  void predict_proba_scaled(const la::Matrix& x, const ModelGeneration& gen,
+                            InferenceSession::ServeContext* ctx,
+                            la::Matrix& proba);
+  /// predict_proba_scaled on `gen` with a fresh context on the
+  /// reconstructor's stream (validation scoring).
+  [[nodiscard]] la::Matrix score_holdout(const ModelGeneration& gen);
   /// Scores `gen` on the holdout and stamps gen->validation_accuracy; no-op
   /// (keeps `carry` accuracy) when the holdout is empty.
   void stamp_validation_accuracy(ModelGeneration& gen, double carry);
@@ -404,8 +425,9 @@ class FsGanPipeline {
   bool trained_ = false;
 
   bool serving_plans_enabled_ = true;
-  la::Matrix predict_x_;
-  /// Serializes serve-path callers through the layer API (shared classifier
+  /// predict_proba_into's slot: draws from the reconstructor's stream.
+  std::unique_ptr<ServeSlot> own_slot_{new ServeSlot(std::nullopt)};
+  /// Serializes every layer-API scoring call (shared classifier
   /// workspaces); heap-held so the pipeline stays movable.
   std::unique_ptr<std::mutex> serve_layer_mu_ = std::make_unique<std::mutex>();
 };

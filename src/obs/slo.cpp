@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -18,24 +19,18 @@ double steady_seconds() {
 
 }  // namespace
 
-SloTracker::SloTracker(SloOptions options) { reconfigure(options); }
-
-void SloTracker::reconfigure(const SloOptions& options) {
-  FSDA_CHECK_MSG(options.latency_target_ms > 0.0,
+SloTracker::SloTracker(SloOptions options) : options_(std::move(options)) {
+  FSDA_CHECK_MSG(options_.latency_target_ms > 0.0,
                  "SLO latency target must be positive");
-  FSDA_CHECK_MSG(options.objective > 0.0 && options.objective < 1.0,
+  FSDA_CHECK_MSG(options_.objective > 0.0 && options_.objective < 1.0,
                  "SLO objective must be in (0, 1)");
-  FSDA_CHECK_MSG(options.window_epochs >= 1, "SLO window needs >= 1 epoch");
-  FSDA_CHECK_MSG(options.epoch_seconds > 0.0,
+  FSDA_CHECK_MSG(options_.window_epochs >= 1, "SLO window needs >= 1 epoch");
+  FSDA_CHECK_MSG(options_.epoch_seconds > 0.0,
                  "SLO epoch duration must be positive");
-  std::lock_guard<std::mutex> lock(mu_);
-  options_ = options;
-  epochs_.clear();
   epochs_.resize(options_.window_epochs);
   for (Epoch& e : epochs_) {
     e.hist = std::make_unique<HdrHistogram>(options_.hdr);
   }
-  current_ = 0;
   epoch_started_s_ = steady_seconds();
   if (!options_.gauge_prefix.empty()) {
     auto& registry = MetricsRegistry::global();
@@ -45,9 +40,6 @@ void SloTracker::reconfigure(const SloOptions& options) {
     burn_gauge_ = &registry.gauge(
         options_.gauge_prefix + ".burn_rate",
         "error-budget burn rate over the SLO window (1.0 = at budget)");
-  } else {
-    p_objective_gauge_ = nullptr;
-    burn_gauge_ = nullptr;
   }
 }
 
@@ -147,19 +139,6 @@ std::uint64_t SloTracker::window_bad() const {
   std::uint64_t bad = 0;
   for (const Epoch& e : epochs_) bad += e.bad;
   return bad;
-}
-
-SloTracker& serving_slo() {
-  static SloTracker* tracker = [] {
-    SloOptions o;
-    o.gauge_prefix = "slo.predict";
-    return new SloTracker(o);
-  }();
-  return *tracker;
-}
-
-void configure_serving_slo(const SloOptions& options) {
-  serving_slo().reconfigure(options);
 }
 
 }  // namespace fsda::obs

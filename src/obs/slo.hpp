@@ -4,8 +4,8 @@
 // form "<objective> of requests complete within <latency_target_ms>"
 // (e.g. 99% under 25 ms) over a sliding window of fixed-duration epochs.
 // Per epoch it keeps an HdrHistogram plus good/bad counts; the window
-// answers two questions the serving daemon's admission control (ROADMAP
-// item 1) consumes:
+// answers two questions the serving daemon's admission control consumes
+// (each ServeDaemon owns one tracker, serve/daemon.hpp):
 //
 //   window_quantile(objective)  the observed p99 (etc.) over the window,
 //                               within the HDR relative-error bound;
@@ -63,9 +63,6 @@ class SloTracker {
   /// Forces an epoch rotation (tests; production rotation is clock-driven).
   void rotate();
 
-  /// Replaces the configuration and clears the window.
-  void reconfigure(const SloOptions& options);
-
   /// Latency at quantile `q` over the sliding window (HDR bound applies).
   [[nodiscard]] double window_quantile(double q) const;
   /// Convenience: window_quantile(objective).
@@ -99,13 +96,5 @@ class SloTracker {
   Gauge* p_objective_gauge_ = nullptr;
   Gauge* burn_gauge_ = nullptr;
 };
-
-/// Process-wide tracker for the serving path (FsGanPipeline::predict_proba
-/// records every batch's latency here).  Leaked singleton.
-[[nodiscard]] SloTracker& serving_slo();
-
-/// Replaces the serving tracker's configuration (drops its window).  Call
-/// before serving traffic; the CLI and benches use it to set the target.
-void configure_serving_slo(const SloOptions& options);
 
 }  // namespace fsda::obs

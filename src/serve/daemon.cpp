@@ -8,7 +8,6 @@
 #include "common/logging.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 
 namespace fsda::serve {
 
@@ -33,6 +32,7 @@ ServeDaemon::ServeDaemon(core::FsGanPipeline& pipeline, ServeOptions options)
     : pipeline_(pipeline),
       options_(options),
       queue_(options.queue_shards),
+      slo_(options.slo),
       wait_hdr_(options.wait_window_epochs == 0 ? 1
                                                 : options.wait_window_epochs) {
   FSDA_CHECK_MSG(pipeline_.is_trained(), "ServeDaemon over untrained pipeline");
@@ -99,7 +99,7 @@ Admission ServeDaemon::submit(la::Matrix x, std::uint64_t request_id,
     return Admission::ShedQueueFull;
   }
   if (options_.shed_burn_rate > 0.0 && depth >= options_.slo_shed_min_depth &&
-      obs::serving_slo().error_budget_burn_rate() > options_.shed_burn_rate) {
+      slo_.error_budget_burn_rate() > options_.shed_burn_rate) {
     shed_slo_.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& c = shed_counter("slo_burn");
     c.inc();
@@ -216,7 +216,9 @@ void ServeDaemon::run_batch(std::vector<std::unique_ptr<Request>>& batch,
   }
 
   try {
-    pipeline_.predict_proba_serve(*x, batch_proba, slot);
+    const core::BatchFacts facts =
+        pipeline_.predict_proba_serve(*x, batch_proba, slot);
+    slo_.record(facts.elapsed_ms);
   } catch (const std::exception& e) {
     FSDA_LOG_WARN << "serve batch failed: " << e.what();
     for (auto& r : batch) {

@@ -9,10 +9,13 @@
 // Admission control runs at submit time, before anything is queued: a
 // request is fast-rejected (typed ShedReason, no allocation beyond the
 // caller's) when queue depth exceeds the configured cap, or when the
-// process-wide serving SLO's error-budget burn rate crosses its threshold
-// while real load is present.  Shedding at the door keeps the queue-wait
-// distribution honest -- admitted requests are requests the daemon intends
-// to serve within SLO.
+// daemon's own serving SLO's error-budget burn rate crosses its threshold
+// while real load is present.  The SLO tracker belongs to the daemon
+// instance: workers record each batch's scoring latency into it and
+// admission reads it, so one daemon's overload never sheds another's
+// traffic.  Shedding at the door keeps the queue-wait distribution honest
+// -- admitted requests are requests the daemon intends to serve within
+// SLO.
 //
 // Each worker owns one FsGanPipeline::ServeSlot (pinned generation
 // snapshot + session context + private buffers): it blocks on the queue,
@@ -20,10 +23,11 @@
 // pure batch policy for a target size, greedily coalesces whole queued
 // requests up to that target (never waiting for rows that have not
 // arrived), concatenates them into its reusable batch matrix, and runs ONE
-// predict_proba_serve call -- which takes one acquire load on the model
-// registry, so a drift-loop hot-swap lands transparently on batch
-// boundaries.  Responses are sliced back per request and delivered through
-// the completion callbacks on the worker thread.
+// predict_proba_serve call -- which takes one generation snapshot from the
+// model registry, so a drift-loop hot-swap lands transparently on batch
+// boundaries -- and records the batch's scoring latency into the SLO.
+// Responses are sliced back per request and delivered through the
+// completion callbacks on the worker thread.
 //
 // The daemon is front-end agnostic: submit() is the whole ingress API.
 // The Unix-socket listener (serve/uds.hpp) is one front-end; tests and the
@@ -41,6 +45,7 @@
 #include "core/pipeline.hpp"
 #include "la/matrix.hpp"
 #include "obs/hdr_histogram.hpp"
+#include "obs/slo.hpp"
 #include "serve/batch_policy.hpp"
 #include "serve/sharded_queue.hpp"
 #include "serve/wire.hpp"
@@ -56,6 +61,13 @@ struct ServeOptions {
   BatchPolicyOptions batch;
   /// Admission: shed (ShedQueueFull) when queue depth reaches this.
   std::size_t max_queue_depth = 512;
+  /// The daemon's serving SLO: workers record every batch's scoring
+  /// latency into it.
+  obs::SloOptions slo = [] {
+    obs::SloOptions o;
+    o.gauge_prefix = "slo.predict";
+    return o;
+  }();
   /// Admission: shed (ShedSlo) when the serving SLO's error-budget burn
   /// rate exceeds this.  <= 0 disables SLO shedding.
   double shed_burn_rate = 2.0;
@@ -148,6 +160,8 @@ class ServeDaemon {
     return recent_wait_ms_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] const ServeOptions& options() const { return options_; }
+  /// The daemon's serving SLO tracker (what SLO shedding reads).
+  [[nodiscard]] obs::SloTracker& slo() { return slo_; }
   [[nodiscard]] bool running() const {
     return running_.load(std::memory_order_acquire);
   }
@@ -169,6 +183,7 @@ class ServeDaemon {
   core::FsGanPipeline& pipeline_;
   ServeOptions options_;
   ShardedQueue<std::unique_ptr<Request>> queue_;
+  obs::SloTracker slo_;
   obs::WindowedHdr wait_hdr_;
   std::atomic<double> recent_wait_ms_{0.0};
   std::atomic<std::uint64_t> dequeues_{0};

@@ -1,13 +1,17 @@
 // Tests for the packed inference engine: GEMM kernel equivalence across
 // ISAs and epilogues, InferencePlan-vs-layer forward equality, the
 // zero-allocation serving loop, serial/threaded micro-batch determinism,
-// and guardrail preservation on the packed pipeline path.
+// guardrail preservation and parity across the pipeline's predict paths,
+// and concurrent layer-path scoring.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/cgan.hpp"
 #include "core/inference_session.hpp"
 #include "core/pipeline.hpp"
@@ -25,6 +29,7 @@
 #include "nn/parallel_sum.hpp"
 #include "nn/sequential.hpp"
 #include "nn/workspace.hpp"
+#include "obs/metrics.hpp"
 
 namespace fsda {
 namespace {
@@ -370,7 +375,9 @@ data::Dataset make_target(std::uint64_t seed) {
   return ds;
 }
 
-core::FsGanPipeline make_pipeline(std::uint64_t seed) {
+core::FsGanPipeline make_pipeline(
+    std::uint64_t seed,
+    core::QuarantinePolicy quarantine = core::QuarantinePolicy::Impute) {
   models::NeuralOptions nopt;
   nopt.hidden = {16};
   nopt.epochs = 6;
@@ -379,6 +386,7 @@ core::FsGanPipeline make_pipeline(std::uint64_t seed) {
   gopt.hidden = {16};
   core::PipelineOptions popt;
   popt.monte_carlo_m = 2;
+  popt.quarantine = quarantine;
   return core::FsGanPipeline(
       [nopt](std::uint64_t s) {
         return std::make_unique<models::MLPClassifier>(s, nopt);
@@ -472,6 +480,8 @@ TEST(InferenceSessionTest, ServeSlotVaryingBatchSizesAreAllocationFree) {
 }
 
 TEST(InferenceSessionTest, SerialAndThreadedMicroBatchesAgree) {
+  // On the caller, a batch of at least kParallelRows rows splits across the
+  // pool; inside a pool task the same batch runs inline as one chunk.
   const data::Dataset source = make_source(102);
   const data::Dataset shots = make_target(202);
   core::FsGanPipeline threaded = make_pipeline(23);
@@ -480,16 +490,77 @@ TEST(InferenceSessionTest, SerialAndThreadedMicroBatchesAgree) {
   serial.train(source, shots);
   ASSERT_TRUE(threaded.serving_plans_active());
   ASSERT_TRUE(serial.serving_plans_active());
-  serial.serving_session()->set_threading_enabled(false);
   const la::Matrix test = make_target(302).x;
+  ASSERT_GE(test.rows(), core::InferenceSession::kParallelRows);
   const la::Matrix p_threaded = threaded.predict_proba(test);
-  const la::Matrix p_serial = serial.predict_proba(test);
+  const la::Matrix p_serial = common::ThreadPool::global()
+                                  .submit([&] { return serial.predict_proba(test); })
+                                  .get();
   ASSERT_EQ(p_threaded.rows(), p_serial.rows());
   for (std::size_t r = 0; r < p_threaded.rows(); ++r) {
     for (std::size_t c = 0; c < p_threaded.cols(); ++c) {
       EXPECT_EQ(p_threaded(r, c), p_serial(r, c))
           << "thread sharding changed the result at (" << r << "," << c << ")";
     }
+  }
+}
+
+TEST(InferenceSessionTest, GuardrailsMatchAcrossPredictPaths) {
+  // One batch with a NaN row and an out-of-envelope cell, scored once by
+  // predict_proba_into and once by predict_proba_serve: both run the same
+  // guarded body, so the guardrail counters move by the same amounts and
+  // the Reject policy serves the same uniform rows.
+  core::FsGanPipeline pipeline =
+      make_pipeline(29, core::QuarantinePolicy::Reject);
+  pipeline.train(make_source(106), make_target(206));
+  ASSERT_TRUE(pipeline.serving_plans_active());
+  la::Matrix test = make_target(306).x;
+  test(3, 2) = std::numeric_limits<double>::quiet_NaN();
+  test(5, 9) = 1e9;
+
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Counter& quarantined = registry.counter("predict.quarantined_rows_total");
+  obs::Counter& clamped = registry.counter("predict.clamped_cells_total");
+  obs::set_telemetry_enabled(true);
+  struct Deltas {
+    std::uint64_t quarantined, clamped;
+  };
+  const auto scored = [&](auto&& predict) {
+    const std::uint64_t q0 = quarantined.value();
+    const std::uint64_t c0 = clamped.value();
+    predict();
+    return Deltas{quarantined.value() - q0, clamped.value() - c0};
+  };
+  la::Matrix p_into;
+  la::Matrix p_serve;
+  const Deltas into =
+      scored([&] { pipeline.predict_proba_into(test, p_into); });
+  auto slot = pipeline.create_serve_slot(0xabcULL);
+  core::BatchFacts facts;
+  const Deltas serve = scored(
+      [&] { facts = pipeline.predict_proba_serve(test, p_serve, *slot); });
+  obs::set_telemetry_enabled(false);
+
+  EXPECT_EQ(into.quarantined, 1u);
+  EXPECT_GT(into.clamped, 0u);
+  EXPECT_EQ(serve.quarantined, into.quarantined);
+  EXPECT_EQ(serve.clamped, into.clamped);
+  EXPECT_EQ(facts.quarantined_rows, 1u);
+  EXPECT_EQ(facts.clamped_cells, into.clamped);
+  EXPECT_EQ(facts.rejected_rows, 1u);
+  EXPECT_EQ(pipeline.health().quarantined_rows, 1u);
+  EXPECT_EQ(pipeline.health().clamped_cells, into.clamped);
+  EXPECT_EQ(pipeline.health().rejected_rows, 1u);
+  const double uniform = 1.0 / static_cast<double>(p_into.cols());
+  for (std::size_t r = 0; r < p_into.rows(); ++r) {
+    bool into_uniform = true;
+    bool serve_uniform = true;
+    for (std::size_t c = 0; c < p_into.cols(); ++c) {
+      into_uniform = into_uniform && p_into(r, c) == uniform;
+      serve_uniform = serve_uniform && p_serve(r, c) == uniform;
+    }
+    EXPECT_EQ(into_uniform, r == 3) << "row " << r;
+    EXPECT_EQ(serve_uniform, r == 3) << "row " << r;
   }
 }
 
@@ -515,23 +586,26 @@ TEST(InferenceSessionTest, RejectPolicyServesUniformOnPackedPath) {
   }
 }
 
+/// A classifier without a compilable network: pipelines over it serve
+/// through the layer API with no session.
+class Constant : public models::Classifier {
+ public:
+  void fit(const la::Matrix&, const std::vector<std::int64_t>&,
+           std::size_t num_classes, const std::vector<double>&) override {
+    k_ = num_classes;
+  }
+  [[nodiscard]] la::Matrix predict_proba(const la::Matrix& x) const override {
+    return {x.rows(), k_, 1.0 / static_cast<double>(k_)};
+  }
+  [[nodiscard]] std::string name() const override { return "Constant"; }
+
+ private:
+  std::size_t k_ = 2;
+};
+
 TEST(InferenceSessionTest, NonNeuralClassifierFallsBackTransparently) {
   // A classifier without a compilable network: the pipeline must serve
   // through the layer API with no session.
-  class Constant : public models::Classifier {
-   public:
-    void fit(const la::Matrix&, const std::vector<std::int64_t>&,
-             std::size_t num_classes, const std::vector<double>&) override {
-      k_ = num_classes;
-    }
-    [[nodiscard]] la::Matrix predict_proba(const la::Matrix& x) const override {
-      return {x.rows(), k_, 1.0 / static_cast<double>(k_)};
-    }
-    [[nodiscard]] std::string name() const override { return "Constant"; }
-
-   private:
-    std::size_t k_ = 2;
-  };
   core::PipelineOptions popt;
   popt.use_reconstruction = false;
   core::FsGanPipeline pipeline(
@@ -542,6 +616,70 @@ TEST(InferenceSessionTest, NonNeuralClassifierFallsBackTransparently) {
   const la::Matrix proba = pipeline.predict_proba(make_target(304).x);
   EXPECT_EQ(proba.rows(), 120u);
   EXPECT_NEAR(proba(0, 0), 1.0 / 3.0, 1e-12);
+}
+
+TEST(InferenceSessionTest, LayerPathScoresSafelyFromEveryCallerAtOnce) {
+  // FS+GAN over the Constant classifier: no session, so every scoring call
+  // runs the CGAN's layer-API reconstruct(), whose noise stream and
+  // workspaces are shared.  predict_proba_into, two serve slots and
+  // validate_generation all score at once; each call must serialize on the
+  // pipeline's layer-path lock (ThreadSanitizer checks the rest).
+  core::CganOptions gopt;
+  gopt.epochs = 2;
+  gopt.hidden = {16};
+  core::PipelineOptions popt;
+  popt.validation_rows = 30;
+  core::FsGanPipeline pipeline(
+      [](std::uint64_t) { return std::make_unique<Constant>(); },
+      [gopt](std::size_t inv, std::size_t var, std::uint64_t s) {
+        return std::make_unique<core::ConditionalGAN>(inv, var, gopt, s);
+      },
+      popt, 41);
+  pipeline.train(make_source(107), make_target(207));
+  ASSERT_FALSE(pipeline.serving_plans_active());
+  ASSERT_NE(pipeline.active_generation()->reconstructor, nullptr);
+  const core::CandidateOutcome candidate =
+      pipeline.build_candidate_generation(make_target(208), popt.fs);
+  ASSERT_NE(candidate.generation, nullptr) << candidate.reason;
+
+  const la::Matrix test = make_target(307).x;
+  constexpr int kIters = 40;
+  const auto uniform_rows = [](const la::Matrix& p) {
+    for (const double v : p.data()) {
+      if (std::abs(v - 1.0 / 3.0) > 1e-12) return false;
+    }
+    return p.rows() > 0;
+  };
+  std::vector<std::thread> callers;
+  std::vector<int> ok(4, 0);
+  callers.emplace_back([&] {
+    la::Matrix proba;
+    for (int i = 0; i < kIters; ++i) {
+      pipeline.predict_proba_into(test, proba);
+      ok[0] += uniform_rows(proba) ? 1 : 0;
+    }
+  });
+  for (std::size_t k = 1; k <= 2; ++k) {
+    callers.emplace_back([&, k] {
+      auto slot = pipeline.create_serve_slot(k);
+      la::Matrix proba;
+      for (int i = 0; i < kIters; ++i) {
+        pipeline.predict_proba_serve(test, proba, *slot);
+        ok[k] += uniform_rows(proba) ? 1 : 0;
+      }
+    });
+  }
+  callers.emplace_back([&] {
+    for (int i = 0; i < kIters; ++i) {
+      const core::ValidationVerdict v =
+          pipeline.validate_generation(candidate.generation, {});
+      ok[3] += v.accuracy > 0.0 ? 1 : 0;
+    }
+  });
+  for (std::thread& t : callers) t.join();
+  for (std::size_t k = 0; k < ok.size(); ++k) {
+    EXPECT_EQ(ok[k], kIters) << "caller " << k;
+  }
 }
 
 }  // namespace

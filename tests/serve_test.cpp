@@ -1,9 +1,10 @@
 // Tests for the serving subsystem (src/serve/): the pure micro-batch
 // sizing policy against exact oracles, wire-format round-trips and
 // malformed-stream rejection, MPMC accounting on the sharded request
-// queue, daemon admission control (typed sheds) and the end-to-end
-// integration run with a mid-flight model hot-swap, and a Unix-socket
-// front-end smoke test.
+// queue, the model registry's publish/rollback handoff under concurrent
+// readers, daemon admission control (typed sheds against the daemon's own
+// SLO), the end-to-end integration run with a mid-flight model hot-swap, a
+// lost-wakeup stress test, and a Unix-socket front-end smoke test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,11 +22,11 @@
 
 #include "common/rng.hpp"
 #include "core/cgan.hpp"
+#include "core/model_registry.hpp"
 #include "core/pipeline.hpp"
 #include "data/dataset.hpp"
 #include "la/matrix.hpp"
 #include "models/neural.hpp"
-#include "obs/slo.hpp"
 #include "serve/batch_policy.hpp"
 #include "serve/daemon.hpp"
 #include "serve/sharded_queue.hpp"
@@ -490,21 +491,25 @@ TEST(ServeDaemonTest, ShedsTypedQueueFullWithoutInvokingCallback) {
   EXPECT_EQ(daemon.stats().accepted, 0u);
 }
 
-TEST(ServeDaemonTest, ShedsTypedSloWhenBurnRateCrossesThreshold) {
-  core::FsGanPipeline pipeline = make_trained_pipeline(4);
-
-  // Poison the process-wide serving SLO: an impossible latency target
-  // makes every recorded request "bad", so the burn rate saturates.
-  obs::SloOptions slo;
-  slo.latency_target_ms = 1e-9;
-  obs::configure_serving_slo(slo);
-  for (int i = 0; i < 64; ++i) obs::serving_slo().record(10.0);
-  ASSERT_GT(obs::serving_slo().error_budget_burn_rate(), 1.0);
-
+/// Options whose SLO shedding fires on the burn rate alone.
+serve::ServeOptions slo_shedding_options() {
   serve::ServeOptions opt;
+  opt.slo.latency_target_ms = 1e-9;  // every recorded batch is "bad"
   opt.shed_burn_rate = 1.0;
   opt.slo_shed_min_depth = 0;  // let the burn rate alone decide
-  serve::ServeDaemon daemon(pipeline, opt);
+  return opt;
+}
+
+/// Saturates the daemon's own SLO burn rate.
+void poison_slo(serve::ServeDaemon& daemon) {
+  for (int i = 0; i < 64; ++i) daemon.slo().record(10.0);
+  ASSERT_GT(daemon.slo().error_budget_burn_rate(), 1.0);
+}
+
+TEST(ServeDaemonTest, ShedsTypedSloWhenBurnRateCrossesThreshold) {
+  core::FsGanPipeline pipeline = make_trained_pipeline(4);
+  serve::ServeDaemon daemon(pipeline, slo_shedding_options());
+  poison_slo(daemon);
   daemon.start();
 
   const la::Matrix test = make_target(304).x;
@@ -514,8 +519,37 @@ TEST(ServeDaemonTest, ShedsTypedSloWhenBurnRateCrossesThreshold) {
   EXPECT_EQ(serve::to_wire_error(Admission::ShedSlo), WireError::ShedSlo);
   daemon.stop();
   EXPECT_EQ(daemon.stats().shed_slo, 1u);
+}
 
-  obs::configure_serving_slo(obs::SloOptions{});  // restore defaults
+TEST(ServeDaemonTest, PoisonedSloDoesNotShedAnotherDaemon) {
+  // Each daemon owns its SLO tracker: one daemon's burned error budget
+  // must not shed a second daemon's traffic, even on the same pipeline.
+  core::FsGanPipeline pipeline = make_trained_pipeline(4);
+  serve::ServeDaemon poisoned(pipeline, slo_shedding_options());
+  poison_slo(poisoned);
+  // A 1 s target the tiny pipeline always meets keeps the healthy
+  // daemon's own burn rate at zero.
+  serve::ServeOptions healthy_opt = slo_shedding_options();
+  healthy_opt.slo.latency_target_ms = 1000.0;
+  serve::ServeDaemon healthy(pipeline, healthy_opt);
+  poisoned.start();
+  healthy.start();
+
+  const la::Matrix test = make_target(304).x;
+  la::Matrix one(1, test.cols());
+  for (std::size_t c = 0; c < test.cols(); ++c) one(0, c) = test(0, c);
+  EXPECT_EQ(poisoned.submit(one, 1, nullptr), Admission::ShedSlo);
+  SyncWaiter waiter;
+  ASSERT_EQ(healthy.submit(one, 2, waiter.callback()), Admission::Accepted);
+  const serve::ServeResult r = waiter.wait();
+  EXPECT_EQ(r.error, WireError::None);
+  EXPECT_TRUE(valid_distribution_rows(r.proba, 1, 3));
+  poisoned.stop();
+  healthy.stop();
+  EXPECT_EQ(poisoned.stats().shed_slo, 1u);
+  EXPECT_EQ(healthy.stats().shed_slo, 0u);
+  EXPECT_EQ(healthy.stats().completed, 1u);
+  EXPECT_EQ(healthy.slo().window_total(), 1u);
 }
 
 TEST(ServeDaemonTest, ConcurrentClientsWithMidRunHotSwapSeeNoBadResponse) {
@@ -582,6 +616,115 @@ TEST(ServeDaemonTest, ConcurrentClientsWithMidRunHotSwapSeeNoBadResponse) {
   EXPECT_EQ(s.failed, 0u);
   EXPECT_GE(s.batches, 1u);
   EXPECT_GE(s.batched_rows, s.batches);
+}
+
+TEST(ServeDaemonTest, NoRequestWaitsWhileAWorkerIsIdle) {
+  // Two closed-loop producers against two workers: at most two requests
+  // are ever in flight, so every request has an idle worker the moment it
+  // is queued.  A reply that takes longer than the deadline means a worker
+  // slept through a push (a lost wakeup).
+  core::FsGanPipeline pipeline = make_trained_pipeline(7);
+  serve::ServeOptions opt;
+  opt.workers = 2;
+  serve::ServeDaemon daemon(pipeline, opt);
+  daemon.start();
+
+  const la::Matrix test = make_target(307).x;
+  constexpr std::size_t kProducers = 2;
+  constexpr std::size_t kRequests = 10000;
+  constexpr auto kDeadline = std::chrono::seconds(2);
+  struct Waiter {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::uint64_t answered = 0;  ///< requests answered so far
+  };
+  // Waiters outlive the daemon, so a late reply never lands on a dead one.
+  std::vector<Waiter> waiters(kProducers);
+  std::atomic<std::uint64_t> timeouts{0};
+  std::atomic<std::uint64_t> sheds{0};
+  std::vector<std::thread> producers;
+  for (std::size_t t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      Waiter& w = waiters[t];
+      la::Matrix one(1, test.cols());
+      for (std::uint64_t i = 0; i < kRequests; ++i) {
+        const std::size_t src = (t * 53 + i) % test.rows();
+        for (std::size_t c = 0; c < test.cols(); ++c) one(0, c) = test(src, c);
+        const Admission verdict =
+            daemon.submit(one, i, [&w](serve::ServeResult&&) {
+              std::lock_guard<std::mutex> lk(w.mu);
+              ++w.answered;
+              w.cv.notify_one();
+            });
+        if (verdict != Admission::Accepted) {
+          ++sheds;
+          return;
+        }
+        std::unique_lock<std::mutex> lk(w.mu);
+        if (!w.cv.wait_for(lk, kDeadline, [&] { return w.answered > i; })) {
+          ++timeouts;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  daemon.stop();
+
+  EXPECT_EQ(timeouts.load(), 0u) << "a request waited while a worker idled";
+  EXPECT_EQ(sheds.load(), 0u);
+  EXPECT_EQ(daemon.stats().completed, kProducers * kRequests);
+  EXPECT_EQ(daemon.stats().failed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Model registry handoff
+// ---------------------------------------------------------------------------
+
+TEST(ModelRegistryStressTest, PublishAndRollbackRaceActiveReaders) {
+  // One writer publishes, rolls back and retires while readers snapshot
+  // the active generation.  Every field the writer set before publishing
+  // must be visible through any snapshot (the handoff orders it), and a
+  // snapshot must stay intact while the registry moves on.
+  core::ModelRegistry registry;
+  constexpr std::uint64_t kPublishes = 20000;
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> reads{0}, torn{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      // At least one read after the writer finishes, however late the
+      // reader starts.
+      bool last = false;
+      while (!last) {
+        last = done.load();
+        const core::GenerationPtr g = registry.active();
+        if (g == nullptr) continue;
+        ++reads;
+        if (g->validation_accuracy != static_cast<double>(g->id) ||
+            g->provenance != "gen" + std::to_string(g->id)) {
+          ++torn;
+        }
+      }
+    });
+  }
+  for (std::uint64_t i = 1; i <= kPublishes; ++i) {
+    auto gen = std::make_shared<core::ModelGeneration>();
+    // The writer is alone, so the next id is known before publish.
+    gen->validation_accuracy = static_cast<double>(i);
+    gen->provenance = "gen" + std::to_string(i);
+    EXPECT_EQ(registry.publish(std::move(gen)), i);
+    if (i % 7 == 0) {
+      EXPECT_TRUE(registry.rollback());
+    }
+    if (i % 11 == 0) registry.retire_previous();
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(registry.published_total(), kPublishes);
 }
 
 // ---------------------------------------------------------------------------

@@ -62,7 +62,6 @@
 #include "obs/metrics.hpp"
 #include "obs/journal.hpp"
 #include "obs/perfetto_export.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "serve/daemon.hpp"
 #include "serve/uds.hpp"
@@ -320,10 +319,8 @@ int cmd_serve(int argc, char** argv) {
   method.fit(context);
   core::FsGanPipeline& pipeline = method.pipeline();
 
-  obs::SloOptions slo;
-  slo.latency_target_ms = slo_ms;
-  slo.gauge_prefix = "serve.slo";
-  obs::configure_serving_slo(slo);
+  sopt.slo.latency_target_ms = slo_ms;
+  sopt.slo.gauge_prefix = "serve.slo";
   if (!trace_out.empty()) obs::FlightRecorder::global().set_enabled(true);
 
   serve::ServeDaemon daemon(pipeline, sopt);
