@@ -56,6 +56,18 @@ void Dann::fit(const DAContext& context) {
   const std::size_t total_steps =
       options_.epochs * ((n_src + batch - 1) / batch);
   std::size_t step = 0;
+  // Training scratch, local to this fit (DESIGN.md §7): capacities carry
+  // from step to step, and everything is freed on return.
+  nn::Workspace ws;
+  la::Matrix src_b;
+  la::Matrix tgt_b;
+  la::Matrix xb;
+  la::Matrix label_grad;
+  la::Matrix domain_grad;
+  la::Matrix grad_z;
+  std::vector<std::size_t> tgt_rows(tgt_batch);
+  std::vector<std::int64_t> labels;
+  std::vector<double> domains;
   for (std::size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     rng.shuffle(order);
     for (std::size_t start = 0; start < n_src; start += batch) {
@@ -63,15 +75,14 @@ void Dann::fit(const DAContext& context) {
       const std::span<const std::size_t> src_rows{order.data() + start,
                                                   end - start};
       // Assemble mixed batch: source rows then resampled target rows.
-      std::vector<std::size_t> tgt_rows(tgt_batch);
       for (auto& r : tgt_rows) r = rng.uniform_index(n_tgt);
-      la::select_rows_into(xs, src_rows, src_b_);
-      la::select_rows_into(xt, tgt_rows, tgt_b_);
-      la::vcat_into(src_b_, tgt_b_, xb_);
-      const std::size_t m = xb_.rows();
+      la::select_rows_into(xs, src_rows, src_b);
+      la::select_rows_into(xt, tgt_rows, tgt_b);
+      la::vcat_into(src_b, tgt_b, xb);
+      const std::size_t m = xb.rows();
 
-      std::vector<std::int64_t> labels(m);
-      std::vector<double> domains(m);
+      labels.resize(m);
+      domains.resize(m);
       for (std::size_t i = 0; i < src_rows.size(); ++i) {
         labels[i] = src.y[src_rows[i]];
         domains[i] = 0.0;
@@ -91,28 +102,26 @@ void Dann::fit(const DAContext& context) {
       ++step;
 
       optimizer.zero_grad();
-      const la::Matrix& z = features_->forward(xb_, /*training=*/true, ws_);
+      const la::Matrix& z = features_->forward(xb, /*training=*/true, ws);
 
       // Label loss on all labeled rows (source + labeled shots).
-      const la::Matrix& logits = label_head_->forward(z, true, ws_);
-      nn::softmax_cross_entropy_into(logits, labels, label_grad_);
-      const la::Matrix& grad_z_label =
-          label_head_->backward(label_grad_, ws_);
+      const la::Matrix& logits = label_head_->forward(z, true, ws);
+      nn::softmax_cross_entropy_into(logits, labels, label_grad);
+      const la::Matrix& grad_z_label = label_head_->backward(label_grad, ws);
 
       // Domain loss with gradient reversal into the extractor: the head's
       // own parameters receive the normal gradient; only the gradient
       // flowing back into z is negated and scaled.
-      const la::Matrix& domain_logits = domain_head_->forward(z, true, ws_);
-      nn::bce_with_logits_into(domain_logits, domains, {}, domain_grad_);
-      const la::Matrix& grad_z_domain =
-          domain_head_->backward(domain_grad_, ws_);
+      const la::Matrix& domain_logits = domain_head_->forward(z, true, ws);
+      nn::bce_with_logits_into(domain_logits, domains, {}, domain_grad);
+      const la::Matrix& grad_z_domain = domain_head_->backward(domain_grad, ws);
       // Combine: grad_z_label lives in the label head's workspace slab and
       // grad_z_domain in the domain head's, so both stay valid here.
-      grad_z_.resize(m, z.cols());
-      la::zip_into(grad_z_label, grad_z_domain, grad_z_,
+      grad_z.resize(m, z.cols());
+      la::zip_into(grad_z_label, grad_z_domain, grad_z,
                    [lambda](double gl, double gd) { return gl - lambda * gd; });
 
-      features_->backward(grad_z_, ws_);
+      features_->backward(grad_z, ws);
       nn::clip_grad_norm(params, 5.0);
       optimizer.step();
     }
@@ -122,8 +131,9 @@ void Dann::fit(const DAContext& context) {
 la::Matrix Dann::predict_proba(const la::Matrix& x_raw) {
   FSDA_CHECK_MSG(features_ != nullptr, "predict before fit");
   const la::Matrix x = scaler_.transform(x_raw);
-  const la::Matrix& z = features_->forward(x, /*training=*/false, ws_);
-  return nn::softmax_rows(label_head_->forward(z, /*training=*/false, ws_));
+  nn::Workspace ws;  // call-local scoring scratch (DESIGN.md §7)
+  const la::Matrix& z = features_->forward(x, /*training=*/false, ws);
+  return nn::softmax_rows(label_head_->forward(z, /*training=*/false, ws));
 }
 
 }  // namespace fsda::baselines

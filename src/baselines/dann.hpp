@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "data/scaler.hpp"
 #include "nn/sequential.hpp"
-#include "nn/workspace.hpp"
 
 namespace fsda::baselines {
 
@@ -43,15 +42,6 @@ class Dann : public DAMethod {
   std::unique_ptr<nn::Sequential> label_head_;
   std::unique_ptr<nn::Sequential> domain_head_;
   std::size_t num_classes_ = 0;
-
-  // Training workspace and persistent mini-batch buffers.
-  nn::Workspace ws_;
-  la::Matrix src_b_;
-  la::Matrix tgt_b_;
-  la::Matrix xb_;
-  la::Matrix label_grad_;
-  la::Matrix domain_grad_;
-  la::Matrix grad_z_;
 };
 
 }  // namespace fsda::baselines

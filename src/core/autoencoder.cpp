@@ -93,15 +93,21 @@ void AutoencoderReconstructor::fit(const la::Matrix& x_inv,
       "training.epoch_ms", obs::HdrOptions{},
       "reconstructor training epoch wall time (ms), all model kinds");
 
-  // Deterministic data-parallel sharding (nn/sharded.hpp); see core/cgan.cpp.
-  // train_shards == 1 (default) keeps the exact pre-sharding trajectory.
-  struct AeReplica {
-    std::unique_ptr<nn::Sequential> net;
-    std::vector<nn::Parameter*> params;
+  // Training scratch, local to this fit (DESIGN.md §7): capacities carry
+  // from step to step, and everything is freed when fit() returns.
+  struct StepScratch {
     nn::Workspace ws;
     la::Matrix inv;
     la::Matrix var;
     la::Matrix loss_grad;
+  };
+  StepScratch b;
+
+  // Deterministic data-parallel sharding (nn/sharded.hpp); see core/cgan.cpp.
+  // train_shards == 1 (default) keeps the exact pre-sharding trajectory.
+  struct AeReplica : StepScratch {
+    std::unique_ptr<nn::Sequential> net;
+    std::vector<nn::Parameter*> params;
     double loss = 0.0;
   };
   const std::size_t max_shards =
@@ -135,8 +141,8 @@ void AutoencoderReconstructor::fit(const la::Matrix& x_inv,
         const std::span<const std::size_t> rows{order.data() + start,
                                                 end - start};
         const std::size_t m = rows.size();
-        la::select_rows_into(x_inv, rows, inv_b_);
-        la::select_rows_into(x_var, rows, var_b_);
+        la::select_rows_into(x_inv, rows, b.inv);
+        la::select_rows_into(x_var, rows, b.var);
         optimizer.zero_grad();
         const std::size_t shards =
             replicas.empty()
@@ -145,9 +151,9 @@ void AutoencoderReconstructor::fit(const la::Matrix& x_inv,
                            replicas.size());
         if (shards <= 1) {
           const la::Matrix& recon =
-              net_->forward(inv_b_, /*training=*/true, ws_);
-          const double loss = nn::mse_into(recon, var_b_, loss_grad_);
-          net_->backward(loss_grad_, ws_);
+              net_->forward(b.inv, /*training=*/true, b.ws);
+          const double loss = nn::mse_into(recon, b.var, b.loss_grad);
+          net_->backward(b.loss_grad, b.ws);
           epoch_loss += loss;
         } else {
           // ---- Sharded step ----  Per-shard loss gradients are weighted by
@@ -167,9 +173,9 @@ void AutoencoderReconstructor::fit(const la::Matrix& x_inv,
             for (nn::Parameter* p : rep.params) p->grad.fill(0.0);
             rep.inv.resize(mr, inv_dim_);
             rep.var.resize(mr, var_dim_);
-            la::copy_into(la::ConstMatrixView(inv_b_).row_block(row0, mr),
+            la::copy_into(la::ConstMatrixView(b.inv).row_block(row0, mr),
                           rep.inv);
-            la::copy_into(la::ConstMatrixView(var_b_).row_block(row0, mr),
+            la::copy_into(la::ConstMatrixView(b.var).row_block(row0, mr),
                           rep.var);
             const la::Matrix& recon =
                 rep.net->forward(rep.inv, /*training=*/true, rep.ws);
@@ -228,7 +234,8 @@ void AutoencoderReconstructor::fit(const la::Matrix& x_inv,
 la::Matrix AutoencoderReconstructor::reconstruct(const la::Matrix& x_inv) {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_dim_);
-  return net_->forward(x_inv, /*training=*/false, ws_);
+  nn::Workspace ws;  // call-local scoring scratch (DESIGN.md §7)
+  return net_->forward(x_inv, /*training=*/false, ws);
 }
 
 }  // namespace fsda::core

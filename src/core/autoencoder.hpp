@@ -8,7 +8,6 @@
 #include "core/health.hpp"
 #include "core/reconstructor.hpp"
 #include "nn/sequential.hpp"
-#include "nn/workspace.hpp"
 
 namespace fsda::core {
 
@@ -65,12 +64,6 @@ class AutoencoderReconstructor : public Reconstructor {
   double last_loss_ = 0.0;
   TrainHealth train_health_;
   bool fitted_ = false;
-
-  // Training workspace and persistent mini-batch buffers.
-  nn::Workspace ws_;
-  la::Matrix inv_b_;
-  la::Matrix var_b_;
-  la::Matrix loss_grad_;
 };
 
 }  // namespace fsda::core

@@ -176,26 +176,44 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
           : std::max<std::size_t>(options_.epochs / 4,
                                   std::min<std::size_t>(options_.epochs, 8));
 
+  // Training scratch, local to this fit (DESIGN.md §7): the workspace and the
+  // mini-batch buffers keep their capacity from step to step, so a
+  // steady-state step allocates nothing, and all of it is freed on return.
+  // Shard replicas extend the same struct with their network clones.
+  struct StepScratch {
+    nn::Workspace ws;
+    la::Matrix inv;
+    la::Matrix var;
+    la::Matrix y;
+    la::Matrix corrupt;
+    la::Matrix noise;
+    la::Matrix g_in;
+    la::Matrix d_in;
+    la::Matrix loss_grad;
+    la::Matrix grad_fake;
+    la::Matrix recon_grad;
+    std::vector<double> ones;
+    std::vector<double> zeros;
+  };
+  StepScratch b;
+
   const la::Matrix y_onehot = one_hot(labels, num_classes);
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   const std::size_t batch = std::min(options_.batch_size, n);
 
-  // Assembles [X_inv | var_block (| Y)] into the persistent d_in_ buffer
+  // Assembles [X_inv | var_block (| Y)] into the persistent b.d_in buffer
   // through column-block views -- no temporaries.
   const auto build_d_input = [&](const la::Matrix& var_block) -> la::Matrix& {
-    d_in_.resize(var_block.rows(), inv_dim_ + var_dim_ + label_dim);
-    la::MatrixView dv(d_in_);
-    la::copy_into(inv_b_, dv.col_block(0, inv_dim_));
+    b.d_in.resize(var_block.rows(), inv_dim_ + var_dim_ + label_dim);
+    la::MatrixView dv(b.d_in);
+    la::copy_into(b.inv, dv.col_block(0, inv_dim_));
     la::copy_into(var_block, dv.col_block(inv_dim_, var_dim_));
     if (options_.conditional) {
-      la::copy_into(y_b_, dv.col_block(inv_dim_ + var_dim_, label_dim));
+      la::copy_into(b.y, dv.col_block(inv_dim_ + var_dim_, label_dim));
     }
-    return d_in_;
+    return b.d_in;
   };
-
-  std::vector<double> ones;
-  std::vector<double> zeros;
 
   // Backward pass whose returned dX is discarded (every pass but the G-step
   // backward through D): the network's first layer skips its dX.  Parameter
@@ -244,28 +262,19 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
       "reconstructor training epoch wall time (ms), all model kinds");
 
   // Deterministic data-parallel sharding (nn/sharded.hpp).  Each replica is
-  // an architecture clone with its own workspace, staging buffers, and
-  // dropout stream; parameter values are broadcast from the master before
-  // every shard pass (version-gated) and shard gradients fold back through a
-  // fixed pairwise tree, so serial and threaded shard execution are bitwise
-  // identical.  train_shards == 1 (the default) never builds replicas and
-  // runs the exact pre-sharding trajectory.
+  // an architecture clone with its own step scratch and dropout stream;
+  // parameter values are broadcast from the master before every shard pass
+  // (version-gated) and shard gradients fold back through a fixed pairwise
+  // tree, so serial and threaded shard execution are bitwise identical.
+  // train_shards == 1 (the default) never builds replicas and runs the exact
+  // pre-sharding trajectory.
   const std::vector<nn::Parameter*> g_params = generator_->parameters();
   const std::vector<nn::Parameter*> d_params = discriminator_->parameters();
-  struct GanReplica {
+  struct GanReplica : StepScratch {
     std::unique_ptr<nn::Sequential> gen;
     std::unique_ptr<nn::Sequential> dis;
     std::vector<nn::Parameter*> g_params;
     std::vector<nn::Parameter*> d_params;
-    nn::Workspace ws;
-    la::Matrix g_in;
-    la::Matrix d_in;
-    la::Matrix var;
-    la::Matrix loss_grad;
-    la::Matrix grad_fake;
-    la::Matrix recon_grad;
-    std::vector<double> ones;
-    std::vector<double> zeros;
     double d_loss = 0.0;
     double g_adv = 0.0;
     double g_recon = 0.0;
@@ -305,11 +314,11 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
           la::ConstMatrixView var_block) -> la::Matrix& {
     rep.d_in.resize(mr, inv_dim_ + var_dim_ + label_dim);
     la::MatrixView dv(rep.d_in);
-    la::copy_into(la::ConstMatrixView(inv_b_).row_block(row0, mr),
+    la::copy_into(la::ConstMatrixView(b.inv).row_block(row0, mr),
                   dv.col_block(0, inv_dim_));
     la::copy_into(var_block, dv.col_block(inv_dim_, var_dim_));
     if (options_.conditional) {
-      la::copy_into(la::ConstMatrixView(y_b_).row_block(row0, mr),
+      la::copy_into(la::ConstMatrixView(b.y).row_block(row0, mr),
                     dv.col_block(inv_dim_ + var_dim_, label_dim));
     }
     return rep.d_in;
@@ -360,9 +369,9 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
                                                 end - start};
         const std::size_t m = rows.size();
         if (m < 2) continue;  // batch norm needs at least two rows
-        la::select_rows_into(x_inv, rows, inv_b_);
-        la::select_rows_into(x_var, rows, var_b_);
-        if (options_.conditional) la::select_rows_into(y_onehot, rows, y_b_);
+        la::select_rows_into(x_inv, rows, b.inv);
+        la::select_rows_into(x_var, rows, b.var);
+        if (options_.conditional) la::select_rows_into(y_onehot, rows, b.y);
 
         const std::size_t shards =
             replicas.empty()
@@ -370,29 +379,29 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
                 : std::min(nn::resolve_shard_count(options_.train_shards, m),
                            replicas.size());
         if (shards <= 1) {
-          ones.assign(m, 1.0);
-          zeros.assign(m, 0.0);
+          b.ones.assign(m, 1.0);
+          b.zeros.assign(m, 0.0);
 
           // ---- Discriminator step (eq. 8) ----
           d_opt.zero_grad();
           {
             const la::Matrix& real_prob = discriminator_->forward(
-                build_d_input(var_b_), /*training=*/true, ws_);
+                build_d_input(b.var), /*training=*/true, b.ws);
             const double real_loss =
-                nn::bce_on_probs_into(real_prob, ones, loss_grad_);
-            backward_params_only(*discriminator_, loss_grad_, ws_);
+                nn::bce_on_probs_into(real_prob, b.ones, b.loss_grad);
+            backward_params_only(*discriminator_, b.loss_grad, b.ws);
 
-            permute_corrupt_into(inv_b_, options_.input_corruption_p, rng_,
-                                 corrupt_b_);
-            sample_noise_into(m, noise_b_);
-            la::hcat_into(corrupt_b_, noise_b_, g_in_);
+            permute_corrupt_into(b.inv, options_.input_corruption_p, rng_,
+                                 b.corrupt);
+            sample_noise_into(m, b.noise);
+            la::hcat_into(b.corrupt, b.noise, b.g_in);
             const la::Matrix& fake =
-                generator_->forward(g_in_, /*training=*/true, ws_);
+                generator_->forward(b.g_in, /*training=*/true, b.ws);
             const la::Matrix& fake_prob = discriminator_->forward(
-                build_d_input(fake), /*training=*/true, ws_);
+                build_d_input(fake), /*training=*/true, b.ws);
             const double fake_loss =
-                nn::bce_on_probs_into(fake_prob, zeros, loss_grad_);
-            backward_params_only(*discriminator_, loss_grad_, ws_);
+                nn::bce_on_probs_into(fake_prob, b.zeros, b.loss_grad);
+            backward_params_only(*discriminator_, b.loss_grad, b.ws);
             d_opt.step();
             stats.d_loss += real_loss + fake_loss;
           }
@@ -403,35 +412,35 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
           // here; otherwise they accumulate and are discarded by zeroing.
           if (!options_.skip_d_grads_in_g_step) d_opt.zero_grad();
           {
-            permute_corrupt_into(inv_b_, options_.input_corruption_p, rng_,
-                                 corrupt_b_);
-            sample_noise_into(m, noise_b_);
-            la::hcat_into(corrupt_b_, noise_b_, g_in_);
+            permute_corrupt_into(b.inv, options_.input_corruption_p, rng_,
+                                 b.corrupt);
+            sample_noise_into(m, b.noise);
+            la::hcat_into(b.corrupt, b.noise, b.g_in);
             const la::Matrix& fake =
-                generator_->forward(g_in_, /*training=*/true, ws_);
+                generator_->forward(b.g_in, /*training=*/true, b.ws);
             const la::Matrix& fake_prob = discriminator_->forward(
-                build_d_input(fake), /*training=*/true, ws_);
+                build_d_input(fake), /*training=*/true, b.ws);
             const double adv_loss =
-                nn::bce_on_probs_into(fake_prob, ones, loss_grad_);
+                nn::bce_on_probs_into(fake_prob, b.ones, b.loss_grad);
             // Only dX of the discriminator is consumed below; its dW/db are
             // skipped when the option allows (identical dX either way).
-            ws_.set_param_grads_enabled(!options_.skip_d_grads_in_g_step);
+            b.ws.set_param_grads_enabled(!options_.skip_d_grads_in_g_step);
             const la::Matrix& grad_d_input =
-                discriminator_->backward(loss_grad_, ws_);
-            ws_.set_param_grads_enabled(true);
+                discriminator_->backward(b.loss_grad, b.ws);
+            b.ws.set_param_grads_enabled(true);
             // Slice the gradient w.r.t. the generated block out of the
             // discriminator's input gradient.
-            grad_fake_.resize(m, var_dim_);
+            b.grad_fake.resize(m, var_dim_);
             la::copy_into(la::ConstMatrixView(grad_d_input)
                               .col_block(inv_dim_, var_dim_),
-                          grad_fake_);
+                          b.grad_fake);
             double recon_value = 0.0;
             if (options_.recon_weight > 0.0) {
-              recon_value = nn::mse_into(fake, var_b_, recon_grad_);
-              recon_grad_ *= options_.recon_weight;
-              grad_fake_ += recon_grad_;
+              recon_value = nn::mse_into(fake, b.var, b.recon_grad);
+              b.recon_grad *= options_.recon_weight;
+              b.grad_fake += b.recon_grad;
             }
-            backward_params_only(*generator_, grad_fake_, ws_);
+            backward_params_only(*generator_, b.grad_fake, b.ws);
             g_opt.step();
             if (!options_.skip_d_grads_in_g_step) d_opt.zero_grad();
             stats.g_adv_loss += adv_loss;
@@ -453,10 +462,10 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
 
           // ---- Discriminator step (eq. 8) ----
           d_opt.zero_grad();
-          permute_corrupt_into(inv_b_, options_.input_corruption_p, rng_,
-                               corrupt_b_);
-          sample_noise_into(m, noise_b_);
-          la::hcat_into(corrupt_b_, noise_b_, g_in_);
+          permute_corrupt_into(b.inv, options_.input_corruption_p, rng_,
+                               b.corrupt);
+          sample_noise_into(m, b.noise);
+          la::hcat_into(b.corrupt, b.noise, b.g_in);
           nn::run_sharded(shards, options_.shard_threads, [&](std::size_t r) {
             GanReplica& rep = *replicas[r];
             const std::size_t row0 = ranges[r].first;
@@ -470,14 +479,14 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
             const la::Matrix& real_prob = rep.dis->forward(
                 build_rep_d_input(
                     rep, row0, mr,
-                    la::ConstMatrixView(var_b_).row_block(row0, mr)),
+                    la::ConstMatrixView(b.var).row_block(row0, mr)),
                 /*training=*/true, rep.ws);
             const double real_loss =
                 nn::bce_on_probs_into(real_prob, rep.ones, rep.loss_grad);
             rep.loss_grad *= w;
             backward_params_only(*rep.dis, rep.loss_grad, rep.ws);
-            rep.g_in.resize(mr, g_in_.cols());
-            la::copy_into(la::ConstMatrixView(g_in_).row_block(row0, mr),
+            rep.g_in.resize(mr, b.g_in.cols());
+            la::copy_into(la::ConstMatrixView(b.g_in).row_block(row0, mr),
                           rep.g_in);
             const la::Matrix& fake =
                 rep.gen->forward(rep.g_in, /*training=*/true, rep.ws);
@@ -499,10 +508,10 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
 
           // ---- Generator step (eq. 9, non-saturating) ----
           g_opt.zero_grad();
-          permute_corrupt_into(inv_b_, options_.input_corruption_p, rng_,
-                               corrupt_b_);
-          sample_noise_into(m, noise_b_);
-          la::hcat_into(corrupt_b_, noise_b_, g_in_);
+          permute_corrupt_into(b.inv, options_.input_corruption_p, rng_,
+                               b.corrupt);
+          sample_noise_into(m, b.noise);
+          la::hcat_into(b.corrupt, b.noise, b.g_in);
           nn::run_sharded(shards, options_.shard_threads, [&](std::size_t r) {
             GanReplica& rep = *replicas[r];
             const std::size_t row0 = ranges[r].first;
@@ -512,8 +521,8 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
             nn::broadcast_parameters(d_params, rep.d_params);
             for (nn::Parameter* p : rep.g_params) p->grad.fill(0.0);
             rep.ones.assign(mr, 1.0);
-            rep.g_in.resize(mr, g_in_.cols());
-            la::copy_into(la::ConstMatrixView(g_in_).row_block(row0, mr),
+            rep.g_in.resize(mr, b.g_in.cols());
+            la::copy_into(la::ConstMatrixView(b.g_in).row_block(row0, mr),
                           rep.g_in);
             const la::Matrix& fake =
                 rep.gen->forward(rep.g_in, /*training=*/true, rep.ws);
@@ -537,7 +546,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
             double recon_value = 0.0;
             if (options_.recon_weight > 0.0) {
               rep.var.resize(mr, var_dim_);
-              la::copy_into(la::ConstMatrixView(var_b_).row_block(row0, mr),
+              la::copy_into(la::ConstMatrixView(b.var).row_block(row0, mr),
                             rep.var);
               recon_value = nn::mse_into(fake, rep.var, rep.recon_grad);
               rep.recon_grad *= options_.recon_weight * w;
@@ -572,7 +581,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
       }
       if (warm_attempt) {
         const la::Matrix& hold_fake =
-            generator_->forward(hold_in, /*training=*/false, ws_);
+            generator_->forward(hold_in, /*training=*/false, b.ws);
         const double hold_mse = nn::mse_into(hold_fake, hold_var, plateau_grad);
         if (hold_mse < best_holdout - options_.plateau_min_delta) {
           best_holdout = hold_mse;
@@ -637,9 +646,14 @@ bool ConditionalGAN::warm_start_from(const Reconstructor& previous) {
 la::Matrix ConditionalGAN::reconstruct(const la::Matrix& x_inv) {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_dim_);
-  sample_noise_into(x_inv.rows(), noise_b_);
-  la::hcat_into(x_inv, noise_b_, g_in_);
-  return generator_->forward(g_in_, /*training=*/false, ws_);
+  // Scoring scratch is local to the call (DESIGN.md §7): the generation
+  // keeps no batch-sized buffers between calls.
+  la::Matrix noise;
+  sample_noise_into(x_inv.rows(), noise);
+  la::Matrix g_in;
+  la::hcat_into(x_inv, noise, g_in);
+  nn::Workspace ws;
+  return generator_->forward(g_in, /*training=*/false, ws);
 }
 
 }  // namespace fsda::core

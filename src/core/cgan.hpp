@@ -19,7 +19,6 @@
 #include "core/health.hpp"
 #include "core/reconstructor.hpp"
 #include "nn/sequential.hpp"
-#include "nn/workspace.hpp"
 
 namespace fsda::core {
 
@@ -170,20 +169,6 @@ class ConditionalGAN : public Reconstructor {
   std::vector<la::Matrix> warm_g_;
   std::vector<la::Matrix> warm_d_;
   bool warm_started_ = false;
-
-  // Training workspace and persistent mini-batch buffers: capacities are
-  // reused across batches/epochs so the steady-state step allocates nothing.
-  nn::Workspace ws_;
-  la::Matrix inv_b_;
-  la::Matrix var_b_;
-  la::Matrix y_b_;
-  la::Matrix corrupt_b_;
-  la::Matrix noise_b_;
-  la::Matrix g_in_;
-  la::Matrix d_in_;
-  la::Matrix loss_grad_;
-  la::Matrix grad_fake_;
-  la::Matrix recon_grad_;
 };
 
 }  // namespace fsda::core

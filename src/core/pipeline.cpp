@@ -6,6 +6,8 @@
 #include <utility>
 
 #include "core/corruption.hpp"
+#include "la/kernels.hpp"
+#include "la/view.hpp"
 
 #include "common/rng.hpp"
 
@@ -326,8 +328,21 @@ void FsGanPipeline::train(const data::Dataset& source,
     trained_order_ = sep.invariant;
     trained_order_.insert(trained_order_.end(), sep.variant.begin(),
                           sep.variant.end());
-    la::Matrix x_train = source_scaled_.select_cols(trained_order_);
-    std::vector<std::int64_t> y_train = source_labels_;
+    // The classifier's training matrix is [real; view 1; view 2; view 3],
+    // n rows per block in trained order, written in place into one
+    // allocation.
+    const std::size_t n = source_scaled_.rows();
+    const std::size_t views = reconstructor != nullptr ? 3 : 0;
+    la::Matrix x_train =
+        la::Matrix::uninit((views + 1) * n, trained_order_.size());
+    la::copy_into(source_scaled_.select_cols(trained_order_),
+                  la::MatrixView(x_train).row_block(0, n));
+    std::vector<std::int64_t> y_train;
+    y_train.reserve((views + 1) * n);
+    for (std::size_t block = 0; block <= views; ++block) {
+      y_train.insert(y_train.end(), source_labels_.begin(),
+                     source_labels_.end());
+    }
     if (reconstructor != nullptr) {
       const la::Matrix x_inv = source_scaled_.select_cols(sep.invariant);
       // Reconstructed views with independent noise draws and lightly
@@ -335,13 +350,14 @@ void FsGanPipeline::train(const data::Dataset& source,
       // conditional spread AND stays calibrated for the minority of
       // invariant features that may have drifted undetected.
       common::Rng view_rng(seed_ ^ 0x71E85ULL);
-      for (int view = 0; view < 3; ++view) {
-        const la::Matrix inv_view =
-            permute_corrupt(x_inv, view == 0 ? 0.0 : 0.1, view_rng);
-        x_train = x_train.vcat(
-            inv_view.hcat(reconstructor->reconstruct(inv_view)));
-        y_train.insert(y_train.end(), source_labels_.begin(),
-                       source_labels_.end());
+      la::Matrix inv_view;
+      for (std::size_t view = 0; view < views; ++view) {
+        permute_corrupt_into(x_inv, view == 0 ? 0.0 : 0.1, view_rng, inv_view);
+        const la::MatrixView block =
+            la::MatrixView(x_train).row_block((view + 1) * n, n);
+        la::copy_into(inv_view, block.col_block(0, inv_view.cols()));
+        la::copy_into(reconstructor->reconstruct(inv_view),
+                      block.col_block(inv_view.cols(), sep.variant.size()));
       }
     }
     classifier_timer.reset();
@@ -670,8 +686,9 @@ void FsGanPipeline::predict_proba_scaled(const la::Matrix& x,
     gen.session->predict_proba_scaled(x, proba, *ctx);
     return;
   }
-  // Layer-API generations share the classifier's workspaces: rare
-  // (plan-incompatible regimes only), so serialization is acceptable.
+  // Layer-API generations share the layers' forward caches and the
+  // reconstructor's noise stream: rare (plan-incompatible regimes only), so
+  // serialization is acceptable.
   std::lock_guard<std::mutex> lk(*serve_layer_mu_);
   const auto& sep = gen.separation;
 

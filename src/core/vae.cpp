@@ -110,15 +110,9 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
       "training.epoch_ms", obs::HdrOptions{},
       "reconstructor training epoch wall time (ms), all model kinds");
 
-  // Deterministic data-parallel sharding (nn/sharded.hpp): replicas are
-  // architecture clones with their own workspaces and staging buffers;
-  // values broadcast from the master (version-gated), gradients reduced
-  // through a fixed pairwise tree.  train_shards == 1 (default) keeps the
-  // exact pre-sharding trajectory.
-  struct VaeReplica {
-    std::unique_ptr<nn::Sequential> enc;
-    std::unique_ptr<nn::Sequential> dec;
-    std::vector<nn::Parameter*> params;  // encoder then decoder, master order
+  // Training scratch, local to this fit (DESIGN.md §7): capacities carry
+  // from step to step, and everything is freed when fit() returns.
+  struct StepScratch {
     nn::Workspace ws;
     la::Matrix inv;
     la::Matrix var;
@@ -131,6 +125,18 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
     la::Matrix recon_grad;
     la::Matrix grad_enc_out;
     nn::KlResult kl;
+  };
+  StepScratch b;
+
+  // Deterministic data-parallel sharding (nn/sharded.hpp): replicas are
+  // architecture clones with their own step scratch; values broadcast from
+  // the master (version-gated), gradients reduced through a fixed pairwise
+  // tree.  train_shards == 1 (default) keeps the exact pre-sharding
+  // trajectory.
+  struct VaeReplica : StepScratch {
+    std::unique_ptr<nn::Sequential> enc;
+    std::unique_ptr<nn::Sequential> dec;
+    std::vector<nn::Parameter*> params;  // encoder then decoder, master order
     double loss = 0.0;
   };
   const std::size_t max_shards =
@@ -167,8 +173,8 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
         const std::span<const std::size_t> rows{order.data() + start,
                                                 end - start};
         const std::size_t m = rows.size();
-        la::select_rows_into(x_inv, rows, inv_b_);
-        la::select_rows_into(x_var, rows, var_b_);
+        la::select_rows_into(x_inv, rows, b.inv);
+        la::select_rows_into(x_var, rows, b.var);
 
         optimizer.zero_grad();
         const std::size_t shards =
@@ -178,54 +184,55 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
                            replicas.size());
         if (shards <= 1) {
           // Encode: split encoder output into mu | log_var.
-          la::hcat_into(inv_b_, var_b_, enc_in_);
+          la::hcat_into(b.inv, b.var, b.enc_in);
           const la::Matrix& enc_out =
-              encoder_->forward(enc_in_, /*training=*/true, ws_);
-          mu_.resize(m, latent_dim_);
-          log_var_.resize(m, latent_dim_);
+              encoder_->forward(b.enc_in, /*training=*/true, b.ws);
+          b.mu.resize(m, latent_dim_);
+          b.log_var.resize(m, latent_dim_);
           for (std::size_t r = 0; r < m; ++r) {
             for (std::size_t c = 0; c < latent_dim_; ++c) {
-              mu_(r, c) = enc_out(r, c);
+              b.mu(r, c) = enc_out(r, c);
               // Clamp log-variance for numerical safety.
-              log_var_(r, c) =
+              b.log_var(r, c) =
                   std::clamp(enc_out(r, latent_dim_ + c), -8.0, 8.0);
             }
           }
 
           // Reparameterize: z = mu + exp(log_var / 2) * eps.
-          eps_.resize(m, latent_dim_);
-          for (auto& v : eps_.data()) v = rng_.normal();
-          z_.resize(m, latent_dim_);
+          b.eps.resize(m, latent_dim_);
+          for (auto& v : b.eps.data()) v = rng_.normal();
+          b.z.resize(m, latent_dim_);
           for (std::size_t r = 0; r < m; ++r) {
             for (std::size_t c = 0; c < latent_dim_; ++c) {
-              z_(r, c) =
-                  mu_(r, c) + std::exp(0.5 * log_var_(r, c)) * eps_(r, c);
+              b.z(r, c) =
+                  b.mu(r, c) + std::exp(0.5 * b.log_var(r, c)) * b.eps(r, c);
             }
           }
 
           // Decode and compute losses.
-          la::hcat_into(inv_b_, z_, dec_in_);
+          la::hcat_into(b.inv, b.z, b.dec_in);
           const la::Matrix& recon =
-              decoder_->forward(dec_in_, /*training=*/true, ws_);
-          const double rec_value = nn::mse_into(recon, var_b_, recon_grad_);
-          nn::gaussian_kl_into(mu_, log_var_, kl_);
-          epoch_loss += rec_value + options_.kl_weight * kl_.value;
+              decoder_->forward(b.dec_in, /*training=*/true, b.ws);
+          const double rec_value = nn::mse_into(recon, b.var, b.recon_grad);
+          nn::gaussian_kl_into(b.mu, b.log_var, b.kl);
+          epoch_loss += rec_value + options_.kl_weight * b.kl.value;
 
           // Backprop: decoder -> z -> (mu, log_var) -> encoder.
-          const la::Matrix& grad_dec_in = decoder_->backward(recon_grad_, ws_);
-          grad_enc_out_.resize(m, 2 * latent_dim_);
+          const la::Matrix& grad_dec_in =
+              decoder_->backward(b.recon_grad, b.ws);
+          b.grad_enc_out.resize(m, 2 * latent_dim_);
           for (std::size_t r = 0; r < m; ++r) {
             for (std::size_t c = 0; c < latent_dim_; ++c) {
               const double gz = grad_dec_in(r, inv_dim_ + c);
-              const double sigma = std::exp(0.5 * log_var_(r, c));
-              grad_enc_out_(r, c) =
-                  gz + options_.kl_weight * kl_.grad_mu(r, c);
-              grad_enc_out_(r, latent_dim_ + c) =
-                  gz * eps_(r, c) * 0.5 * sigma +
-                  options_.kl_weight * kl_.grad_log_var(r, c);
+              const double sigma = std::exp(0.5 * b.log_var(r, c));
+              b.grad_enc_out(r, c) =
+                  gz + options_.kl_weight * b.kl.grad_mu(r, c);
+              b.grad_enc_out(r, latent_dim_ + c) =
+                  gz * b.eps(r, c) * 0.5 * sigma +
+                  options_.kl_weight * b.kl.grad_log_var(r, c);
             }
           }
-          encoder_->backward(grad_enc_out_, ws_);
+          encoder_->backward(b.grad_enc_out, b.ws);
         } else {
           // ---- Sharded step ----
           // The reparameterization noise for the whole batch is drawn from
@@ -233,8 +240,8 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
           // order never touches shared rng state; per-shard losses and loss
           // gradients are weighted by rows_r / rows, making the reduced
           // gradient the full-batch mean-loss gradient.
-          eps_.resize(m, latent_dim_);
-          for (auto& v : eps_.data()) v = rng_.normal();
+          b.eps.resize(m, latent_dim_);
+          for (auto& v : b.eps.data()) v = rng_.normal();
           ranges.clear();
           for (std::size_t r = 0; r < shards; ++r) {
             ranges.push_back(nn::shard_range(m, shards, r));
@@ -250,11 +257,11 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
             rep.inv.resize(mr, inv_dim_);
             rep.var.resize(mr, var_dim_);
             rep.eps.resize(mr, latent_dim_);
-            la::copy_into(la::ConstMatrixView(inv_b_).row_block(row0, mr),
+            la::copy_into(la::ConstMatrixView(b.inv).row_block(row0, mr),
                           rep.inv);
-            la::copy_into(la::ConstMatrixView(var_b_).row_block(row0, mr),
+            la::copy_into(la::ConstMatrixView(b.var).row_block(row0, mr),
                           rep.var);
-            la::copy_into(la::ConstMatrixView(eps_).row_block(row0, mr),
+            la::copy_into(la::ConstMatrixView(b.eps).row_block(row0, mr),
                           rep.eps);
 
             la::hcat_into(rep.inv, rep.var, rep.enc_in);
@@ -351,10 +358,13 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
 la::Matrix VaeReconstructor::reconstruct(const la::Matrix& x_inv) {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_dim_);
-  z_.resize(x_inv.rows(), latent_dim_);
-  for (auto& v : z_.data()) v = rng_.normal();
-  la::hcat_into(x_inv, z_, dec_in_);
-  return decoder_->forward(dec_in_, /*training=*/false, ws_);
+  // Scoring scratch is local to the call (DESIGN.md §7).
+  la::Matrix z(x_inv.rows(), latent_dim_);
+  for (auto& v : z.data()) v = rng_.normal();
+  la::Matrix dec_in;
+  la::hcat_into(x_inv, z, dec_in);
+  nn::Workspace ws;
+  return decoder_->forward(dec_in, /*training=*/false, ws);
 }
 
 }  // namespace fsda::core

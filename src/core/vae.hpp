@@ -12,9 +12,7 @@
 #include "common/rng.hpp"
 #include "core/health.hpp"
 #include "core/reconstructor.hpp"
-#include "nn/loss.hpp"
 #include "nn/sequential.hpp"
-#include "nn/workspace.hpp"
 
 namespace fsda::core {
 
@@ -75,20 +73,6 @@ class VaeReconstructor : public Reconstructor {
   double last_loss_ = 0.0;
   TrainHealth train_health_;
   bool fitted_ = false;
-
-  // Training workspace and persistent mini-batch buffers.
-  nn::Workspace ws_;
-  la::Matrix inv_b_;
-  la::Matrix var_b_;
-  la::Matrix enc_in_;
-  la::Matrix dec_in_;
-  la::Matrix mu_;
-  la::Matrix log_var_;
-  la::Matrix eps_;
-  la::Matrix z_;
-  la::Matrix recon_grad_;
-  la::Matrix grad_enc_out_;
-  nn::KlResult kl_;
 };
 
 }  // namespace fsda::core

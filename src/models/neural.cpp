@@ -69,6 +69,11 @@ void MLPClassifier::run_epochs(const la::Matrix& x,
   std::iota(order.begin(), order.end(), std::size_t{0});
 
   const std::size_t batch = std::min(options_.batch_size, n);
+  // Training scratch, local to this run (DESIGN.md §7): capacities carry
+  // from step to step, and everything is freed on return.
+  nn::Workspace ws;
+  la::Matrix xb;
+  la::Matrix loss_grad;
   std::vector<std::int64_t> yb;
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     rng.shuffle(order);
@@ -78,26 +83,25 @@ void MLPClassifier::run_epochs(const la::Matrix& x,
       const std::size_t end = std::min(n, start + batch);
       const std::span<const std::size_t> rows{order.data() + start,
                                               end - start};
-      la::select_rows_into(x, rows, xb_);
+      la::select_rows_into(x, rows, xb);
       yb.resize(rows.size());
       for (std::size_t i = 0; i < rows.size(); ++i) yb[i] = y[rows[i]];
 
       optimizer.zero_grad();
-      const la::Matrix& logits = net_->forward(xb_, /*training=*/true, ws_);
-      const double loss = nn::softmax_cross_entropy_into(logits, yb,
-                                                         loss_grad_);
+      const la::Matrix& logits = net_->forward(xb, /*training=*/true, ws);
+      const double loss = nn::softmax_cross_entropy_into(logits, yb, loss_grad);
       // Apply per-sample weights by scaling gradient rows; the scalar loss
       // reported stays unweighted for readability.
       for (std::size_t i = 0; i < rows.size(); ++i) {
         const double wi = w[rows[i]];
         if (wi == 1.0) continue;
-        auto grow = loss_grad_.row(i);
+        auto grow = loss_grad.row(i);
         for (auto& g : grow) g *= wi;
       }
       // The input gradient is never used: the first layer skips it.
-      ws_.set_input_grad_enabled(false);
-      net_->backward(loss_grad_, ws_);
-      ws_.set_input_grad_enabled(true);
+      ws.set_input_grad_enabled(false);
+      net_->backward(loss_grad, ws);
+      ws.set_input_grad_enabled(true);
       optimizer.step();
       epoch_loss += loss;
       ++batches;
@@ -131,8 +135,11 @@ void MLPClassifier::fine_tune(const la::Matrix& x,
 la::Matrix MLPClassifier::predict_proba(const la::Matrix& x) const {
   FSDA_CHECK_MSG(net_ != nullptr, "predict before fit");
   FSDA_CHECK_MSG(x.cols() == num_features_, "feature width mismatch");
+  // Call-local scoring scratch (DESIGN.md §7): a trained classifier keeps no
+  // batch-sized buffers between calls.
+  nn::Workspace ws;
   const la::Matrix& logits =
-      const_cast<nn::Sequential&>(*net_).forward(x, /*training=*/false, ws_);
+      const_cast<nn::Sequential&>(*net_).forward(x, /*training=*/false, ws);
   return nn::softmax_rows(logits);
 }
 

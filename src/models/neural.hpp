@@ -9,7 +9,6 @@
 
 #include "models/classifier.hpp"
 #include "nn/sequential.hpp"
-#include "nn/workspace.hpp"
 
 namespace fsda::models {
 
@@ -65,12 +64,6 @@ class MLPClassifier : public Classifier {
   std::size_t num_classes_ = 0;
   std::size_t num_features_ = 0;
   double last_loss_ = 0.0;
-
-  // Training/inference workspace and persistent mini-batch buffers
-  // (mutable: predict_proba is logically const but reuses the arena).
-  mutable nn::Workspace ws_;
-  la::Matrix xb_;
-  la::Matrix loss_grad_;
 };
 
 /// TNet: MLP with a learned feature-gate front end (DESIGN.md substitution

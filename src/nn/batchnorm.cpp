@@ -72,7 +72,9 @@ const la::Matrix& BatchNorm1d::forward(const la::Matrix& input, bool training,
   for (std::size_t c = 0; c < features_; ++c) {
     cached_inv_std_(0, c) = 1.0 / std::sqrt(var_(0, c) + eps_);
   }
-  cached_norm_.resize(n, features_);
+  // Slot 4: the normalized input backward needs (slots 1-3 are backward's).
+  la::Matrix& norm_buf = ws.buffer(this, 4, n, features_);
+  cached_norm_ = &norm_buf;
   la::Matrix& out = ws.buffer(this, 0, n, features_);
   const double* __restrict mu = mean_.row(0).data();
   const double* __restrict inv_std = cached_inv_std_.row(0).data();
@@ -80,7 +82,7 @@ const la::Matrix& BatchNorm1d::forward(const la::Matrix& input, bool training,
   const double* __restrict beta = beta_.value.row(0).data();
   for (std::size_t r = 0; r < n; ++r) {
     const double* __restrict in = input.row(r).data();
-    double* __restrict norm = cached_norm_.row(r).data();
+    double* __restrict norm = norm_buf.row(r).data();
     double* __restrict o = out.row(r).data();
     for (std::size_t c = 0; c < f; ++c) {
       const double xn = (in[c] - mu[c]) * inv_std[c];
@@ -94,7 +96,9 @@ const la::Matrix& BatchNorm1d::forward(const la::Matrix& input, bool training,
 const la::Matrix& BatchNorm1d::backward(const la::Matrix& grad_output,
                                         Workspace& ws) {
   const std::size_t n = grad_output.rows();
-  FSDA_CHECK(grad_output.cols() == features_ && n == cached_norm_.rows());
+  FSDA_CHECK_MSG(cached_norm_ != nullptr,
+                 "BatchNorm1d backward before forward");
+  FSDA_CHECK(grad_output.cols() == features_ && n == cached_norm_->rows());
   // Accumulate parameter gradients.
   la::Matrix& sum_g = ws.buffer(this, 2, 1, features_);
   la::Matrix& sum_g_xn = ws.buffer(this, 3, 1, features_);
@@ -102,7 +106,7 @@ const la::Matrix& BatchNorm1d::backward(const la::Matrix& grad_output,
   sum_g_xn.fill(0.0);
   for (std::size_t r = 0; r < n; ++r) {
     const double* g = grad_output.row(r).data();
-    const double* xn = cached_norm_.row(r).data();
+    const double* xn = cached_norm_->row(r).data();
     double* acc = sum_g_xn.row(0).data();
     for (std::size_t c = 0; c < features_; ++c) acc[c] += g[c] * xn[c];
   }
@@ -130,7 +134,7 @@ const la::Matrix& BatchNorm1d::backward(const la::Matrix& grad_output,
   const double* sgxn = sum_g_xn.row(0).data();
   for (std::size_t r = 0; r < n; ++r) {
     const double* g = grad_output.row(r).data();
-    const double* xn = cached_norm_.row(r).data();
+    const double* xn = cached_norm_->row(r).data();
     double* gi = grad_input.row(r).data();
     for (std::size_t c = 0; c < features_; ++c) {
       gi[c] = gamma[c] * inv_std[c] * inv_n *

@@ -53,11 +53,14 @@ class BatchNorm1d : public Layer {
   Parameter beta_;
   la::Matrix running_mean_;
   la::Matrix running_var_;
-  // forward cache (persistent members so capacity survives across steps)
-  la::Matrix mean_;            // 1 x d, statistics of the last forward
-  la::Matrix var_;             // 1 x d
-  la::Matrix cached_norm_;     // normalized input
-  la::Matrix cached_inv_std_;  // 1 x d
+  // Statistics of the last forward (1 x d).  The batch-sized normalized
+  // input lives in the forward's workspace; backward reads it through
+  // cached_norm_, which (like Linear's cached input) is valid only until
+  // that workspace runs this layer's forward again or is destroyed.
+  la::Matrix mean_;
+  la::Matrix var_;
+  la::Matrix cached_inv_std_;
+  const la::Matrix* cached_norm_ = nullptr;
   bool seen_batch_ = false;
   bool last_forward_used_batch_stats_ = false;
 };

@@ -13,14 +13,14 @@ Dropout::Dropout(double p, common::Rng rng) : p_(p), rng_(rng) {
 const la::Matrix& Dropout::forward(const la::Matrix& input, bool training,
                                    Workspace& ws) {
   if (!training || p_ == 0.0) {
-    masked_ = false;
+    mask_ = nullptr;
     return input;  // identity at inference: pass the caller's buffer through
   }
   const double scale = 1.0 / (1.0 - p_);
-  mask_.resize(input.rows(), input.cols());
+  la::Matrix& mask = ws.buffer(this, 2, input.rows(), input.cols());
   la::Matrix& out = ws.buffer(this, 0, input.rows(), input.cols());
-  const std::size_t n = mask_.size();
-  double* __restrict m = mask_.data().data();
+  const std::size_t n = mask.size();
+  double* __restrict m = mask.data().data();
   const double* __restrict in = input.data().data();
   double* __restrict o = out.data().data();
   // Two passes: the serial stream fills the mask with the same uniforms, in
@@ -33,16 +33,16 @@ const la::Matrix& Dropout::forward(const la::Matrix& input, bool training,
     m[i] = keep;
     o[i] = in[i] * keep;
   }
-  masked_ = true;
+  mask_ = &mask;
   return out;
 }
 
 const la::Matrix& Dropout::backward(const la::Matrix& grad_output,
                                     Workspace& ws) {
-  if (!masked_) return grad_output;
+  if (mask_ == nullptr) return grad_output;
   la::Matrix& grad =
       ws.buffer(this, 1, grad_output.rows(), grad_output.cols());
-  la::hadamard_into(grad_output, mask_, grad);
+  la::hadamard_into(grad_output, *mask_, grad);
   return grad;
 }
 

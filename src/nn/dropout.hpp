@@ -27,8 +27,9 @@ class Dropout : public Layer {
  private:
   double p_;
   common::Rng rng_;
-  la::Matrix mask_;
-  bool masked_ = false;
+  // The last training forward's keep/scale mask, in that forward's
+  // workspace; nullptr after an identity (inference) forward.
+  const la::Matrix* mask_ = nullptr;
 };
 
 }  // namespace fsda::nn

@@ -1,22 +1,29 @@
 // fsda::nn -- layer abstraction for the from-scratch neural network library.
 //
-// Layers are stateful modules with cached activations: forward() stores
-// whatever backward() needs, and backward() consumes the gradient w.r.t. the
-// layer output, accumulates parameter gradients, and returns the gradient
-// w.r.t. the layer input.  The GAN training loop exploits this split: the
-// generator's gradient is obtained by backpropagating through a frozen
-// discriminator (backward() with parameter updates simply not applied).
+// A layer's members are its parameters, running statistics and 1 x d batch
+// statistics -- nothing sized by the batch.  forward() writes its output and
+// whatever backward() needs (batch norm's normalized input, dropout's mask)
+// into an nn::Workspace and keeps only pointers into it or to its input;
+// backward() consumes the gradient w.r.t. the layer output, accumulates
+// parameter gradients, and returns the gradient w.r.t. the layer input.
+// The GAN training loop exploits this split: the generator's gradient is
+// obtained by backpropagating through a frozen discriminator (backward()
+// with parameter updates simply not applied).
 //
-// The primary interface is workspace-based: forward/backward take an
-// nn::Workspace and return references into workspace-owned buffers, so a
-// steady-state training step allocates nothing.  The original value-returning
+// Ownership (DESIGN.md §7): workspaces hold every batch-sized buffer, a fit
+// owns its training workspace, and a scoring call owns its scratch, so a
+// trained network keeps no batch memory once the call that sized it
+// returns.  Returned references point into workspace-owned buffers, so a
+// steady-state training step allocates nothing.  The value-returning
 // forward(input, training) / backward(grad) API remains as non-virtual
-// wrappers that route through a private per-layer workspace; it is convenient
-// for tests and cold paths but pays a copy per call.
+// wrappers that route through a private per-layer workspace; it is
+// convenient for tests and cold paths but pays a copy per call and keeps
+// that workspace alive with the layer.
 //
 // Contract for workspace passes: the input reference handed to the
 // workspace forward() must stay alive (and unmoved) until the matching
-// backward() completes -- layers cache pointers to it, not copies.
+// backward() completes, and backward() must get the workspace its forward
+// ran on -- layers cache pointers into both, not copies.
 #pragma once
 
 #include <cstdint>

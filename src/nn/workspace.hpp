@@ -4,7 +4,9 @@
 // that a steady-state training step performs zero heap allocations: each
 // (owner, slot) pair maps to one Matrix whose capacity is retained across
 // steps, and Matrix::resize only touches the heap when a request outgrows
-// what a previous step already reserved.
+// what a previous step already reserved.  It also holds the caches backward()
+// reads (batch norm's normalized input, dropout's mask), so its lifetime
+// bounds every batch-sized buffer of the passes run on it.
 //
 // Owners are addresses (usually the Layer operating on the buffer), so one
 // Workspace can be threaded through an arbitrary layer graph -- including a

@@ -175,5 +175,51 @@ TEST(WorkspaceTest, DisabledInputGradKeepsParameterGradsBitwise) {
   }
 }
 
+// Batch norm's normalized input and dropout's mask are workspace slots, not
+// layer members: the workspace accounts for every batch-sized buffer of the
+// pass, and steady-state steps still allocate nothing.
+TEST(WorkspaceTest, LayerCachesLiveInTheWorkspace) {
+  common::Rng rng(23);
+  constexpr std::size_t kRows = 20;
+  constexpr std::size_t kIn = 8;
+  constexpr std::size_t kHidden = 16;
+  constexpr std::size_t kClasses = 3;
+  Sequential net;
+  net.emplace<Linear>(kIn, kHidden, rng);
+  net.emplace<BatchNorm1d>(kHidden);
+  net.emplace<ReLU>();
+  net.emplace<Dropout>(0.3, rng.split(1));
+  net.emplace<Linear>(kHidden, kClasses, rng);
+
+  Workspace ws;
+  const la::Matrix x = la::Matrix::randn(kRows, kIn, rng);
+  net.forward(x, /*training=*/true, ws);
+  // Outputs of Linear, BatchNorm1d, ReLU and Dropout (kRows x kHidden
+  // each) and of the head, plus batch norm's normalized input and the
+  // dropout mask (kRows x kHidden each).
+  EXPECT_EQ(ws.total_elements(),
+            (4 + 2) * kRows * kHidden + kRows * kClasses);
+
+  Adam optimizer(net.parameters(), 1e-3);
+  std::vector<std::int64_t> y(kRows);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    y[i] = static_cast<std::int64_t>(i % kClasses);
+  }
+  la::Matrix loss_grad;
+  auto step = [&] {
+    optimizer.zero_grad();
+    const la::Matrix& logits = net.forward(x, /*training=*/true, ws);
+    softmax_cross_entropy_into(logits, y, loss_grad);
+    net.backward(loss_grad, ws);
+    optimizer.step();
+  };
+  step();
+  step();
+  const std::size_t before = la::matrix_allocations();
+  for (int i = 0; i < 5; ++i) step();
+  EXPECT_EQ(la::matrix_allocations(), before)
+      << "steady-state step with batch norm and dropout allocated";
+}
+
 }  // namespace
 }  // namespace fsda::nn
