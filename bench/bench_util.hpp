@@ -17,8 +17,8 @@
 #include "eval/table.hpp"
 #include "models/factory.hpp"
 #include "obs/export.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fsda::bench {
 
@@ -102,11 +102,16 @@ inline void export_csv(const eval::TextTable& table,
 ///
 ///   FSDA_METRICS_OUT=<file>  append one JSON metrics snapshot at exit
 ///                            (resolved under FSDA_OUT_DIR)
-///   FSDA_TRACE=1             enable span tracing; tree printed at exit
+///   FSDA_TRACE=1             enable the flight recorder; the span tree
+///                            built from one journal snapshot is printed
+///                            at exit (and is the snapshot's "trace")
 ///
 /// Declare one instance at the top of a bench main(); the destructor
 /// flushes.  Telemetry stays fully disabled when neither variable is set,
-/// so default bench timings are unaffected.
+/// so default bench timings are unaffected.  Benches that drain the
+/// recorder themselves (bench_drift_loop, bench_readapt, bench_obs,
+/// bench_serving write their full journal to *_trace.json) leave only
+/// their undrained events to the exit tree.
 class BenchTelemetry {
  public:
   BenchTelemetry() {
@@ -118,7 +123,7 @@ class BenchTelemetry {
     if (common::env_int("FSDA_TRACE", 0) != 0) {
       trace_ = true;
       obs::set_telemetry_enabled(true);
-      obs::Tracer::global().set_enabled(true);
+      obs::FlightRecorder::global().set_enabled(true);
     }
   }
 
@@ -126,15 +131,19 @@ class BenchTelemetry {
   BenchTelemetry& operator=(const BenchTelemetry&) = delete;
 
   ~BenchTelemetry() {
+    obs::ExtraFields extra;
+    obs::SpanSnapshot tree;
+    if (trace_) {
+      tree = obs::span_tree(obs::FlightRecorder::global().snapshot());
+      extra.emplace_back("trace", obs::to_json(tree));
+    }
     if (!metrics_path_.empty()) {
       obs::SnapshotSink sink(metrics_path_);
-      if (sink.flush()) {
+      if (sink.flush(extra)) {
         std::printf("metrics snapshot written to %s\n", metrics_path_.c_str());
       }
     }
-    if (trace_) {
-      std::fprintf(stderr, "%s", obs::Tracer::global().to_string().c_str());
-    }
+    if (trace_) std::fprintf(stderr, "%s", obs::to_string(tree).c_str());
   }
 
  private:

@@ -117,13 +117,13 @@ FNodeResult run_search(const FisherZTest& test, const FNodeOptions& options,
   }
 
   // Separating-set size distribution: level 0 for marginally independent
-  // features, the successful level L otherwise.  Hoisted once; observe() is
+  // features, the successful level L otherwise.  Hoisted once; record() is
   // wait-free and safe from pool workers.
-  obs::Histogram& sepset_size = obs::MetricsRegistry::global().histogram(
-      "fs.sepset_size", {0.0, 1.0, 2.0, 3.0, 4.0},
+  obs::HdrHistogram& sepset_size = obs::MetricsRegistry::global().hdr(
+      "fs.sepset_size", obs::HdrOptions{},
       "separating-set size at which features tested F-independent");
   for (std::size_t x = 0; x < d; ++x) {
-    if (marginally_independent[x]) sepset_size.observe(0.0);
+    if (marginally_independent[x]) sepset_size.record(0.0);
   }
 
   auto process_feature = [&](std::size_t x) {
@@ -193,7 +193,7 @@ FNodeResult run_search(const FisherZTest& test, const FNodeOptions& options,
       if (test.test(x, f_index, *warm_set).independent) {
         result.sepsets[x] = *warm_set;
         warm_reconfirmed.fetch_add(1, std::memory_order_relaxed);
-        sepset_size.observe(static_cast<double>(warm_set->size()));
+        sepset_size.record(static_cast<double>(warm_set->size()));
         return;  // invariant: the old separating set still separates
       }
     }
@@ -224,7 +224,7 @@ FNodeResult run_search(const FisherZTest& test, const FNodeOptions& options,
         return false;
       });
       if (found_separator) {
-        sepset_size.observe(static_cast<double>(level));
+        sepset_size.record(static_cast<double>(level));
         return;  // invariant: some S gives X ⊥ F | S
       }
     }

@@ -233,11 +233,11 @@ PcResult pc_algorithm(const CiTest& test, const PcOptions& options) {
                  "PC runs cut short by their deadline")
         .inc();
   }
-  obs::Histogram& sepset_size = registry.histogram(
-      "pc.sepset_size", {0.0, 1.0, 2.0, 3.0, 4.0},
+  obs::HdrHistogram& sepset_size = registry.hdr(
+      "pc.sepset_size", obs::HdrOptions{},
       "separating-set sizes found during skeleton pruning");
   for (const auto& [edge, sepset] : result.separating_sets) {
-    sepset_size.observe(static_cast<double>(sepset.size()));
+    sepset_size.record(static_cast<double>(sepset.size()));
   }
   return result;
 }

@@ -17,7 +17,6 @@
 #include "nn/sharded.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fsda::core {
 
@@ -48,7 +47,6 @@ void AutoencoderReconstructor::fit(const la::Matrix& x_inv,
                                    const la::Matrix& x_var,
                                    const std::vector<std::int64_t>& /*labels*/,
                                    std::size_t /*num_classes*/) {
-  FSDA_SPAN("ae.fit");
   FSDA_EVENT_SCOPE(obs::EventCategory::Training, "ae.fit");
   common::Stopwatch fit_watch;
   const double pack_seconds0 = nn::gemm_pack_seconds();

@@ -21,7 +21,6 @@
 #include "nn/sharded.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fsda::core {
 
@@ -85,7 +84,6 @@ la::Matrix ConditionalGAN::one_hot(const std::vector<std::int64_t>& labels,
 void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
                          const std::vector<std::int64_t>& labels,
                          std::size_t num_classes) {
-  FSDA_SPAN("cgan.fit");
   FSDA_EVENT_SCOPE(obs::EventCategory::Training, "cgan.fit");
   common::Stopwatch fit_watch;
   const double pack_seconds0 = nn::gemm_pack_seconds();

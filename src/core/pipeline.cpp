@@ -16,7 +16,6 @@
 #include "common/stopwatch.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fsda::core {
 
@@ -132,7 +131,7 @@ double FsGanPipeline::reconstructor_train_seconds() const {
 std::shared_ptr<Reconstructor> FsGanPipeline::fit_reconstructor_for(
     const SeparationResult& sep, HealthReport& health, std::uint64_t seed,
     const Reconstructor* warm_from) {
-  FSDA_SPAN("pipeline.reconstructor_fit");
+  FSDA_EVENT_SCOPE(obs::EventCategory::Training, "pipeline.reconstructor_fit");
   if (sep.variant.empty() || sep.invariant.empty()) {
     return nullptr;  // nothing to reconstruct / condition on
   }
@@ -243,7 +242,7 @@ void FsGanPipeline::stamp_validation_accuracy(ModelGeneration& gen,
 
 void FsGanPipeline::train(const data::Dataset& source,
                           const data::Dataset& target_few_shot) {
-  FSDA_SPAN("pipeline.train");
+  FSDA_EVENT_SCOPE(obs::EventCategory::Training, "pipeline.train");
   auto& registry = obs::MetricsRegistry::global();
   source.validate();
   FSDA_CHECK_MSG(source.num_features() == target_few_shot.num_features(),
@@ -266,7 +265,7 @@ void FsGanPipeline::train(const data::Dataset& source,
 
   la::Matrix target_scaled;
   {
-    FSDA_SPAN("pipeline.scaler_fit");
+    FSDA_EVENT_SCOPE(obs::EventCategory::Training, "pipeline.scaler_fit");
     common::Stopwatch timer;
     scaler_.fit(source.x);  // throws NumericError on a dirty source
     source_scaled_ = scaler_.transform(source.x);
@@ -281,7 +280,8 @@ void FsGanPipeline::train(const data::Dataset& source,
 
   SeparationResult sep;
   {
-    FSDA_SPAN("pipeline.feature_separation");
+    FSDA_EVENT_SCOPE(obs::EventCategory::Training,
+                     "pipeline.feature_separation");
     common::Stopwatch timer;
     sep = separate_features(source_scaled_, target_scaled, options_.fs);
     registry
@@ -361,13 +361,13 @@ void FsGanPipeline::train(const data::Dataset& source,
       }
     }
     classifier_timer.reset();
-    FSDA_SPAN("pipeline.classifier_fit");
+    FSDA_EVENT_SCOPE(obs::EventCategory::Training, "pipeline.classifier_fit");
     classifier_->fit(x_train, y_train, num_classes_, {});
   } else {
     // FS mode: invariant features only.  An empty invariant set would leave
     // nothing to train on; fall back to all features (degenerate but safe).
     classifier_timer.reset();
-    FSDA_SPAN("pipeline.classifier_fit");
+    FSDA_EVENT_SCOPE(obs::EventCategory::Training, "pipeline.classifier_fit");
     if (sep.invariant.empty()) {
       trained_order_.resize(source_scaled_.cols());
       for (std::size_t c = 0; c < trained_order_.size(); ++c) {
@@ -410,7 +410,7 @@ void FsGanPipeline::train(const data::Dataset& source,
 }
 
 void FsGanPipeline::adapt_to_new_target(const data::Dataset& target_few_shot) {
-  FSDA_SPAN("pipeline.adapt");
+  FSDA_EVENT_SCOPE(obs::EventCategory::Training, "pipeline.adapt");
   FSDA_CHECK_MSG(trained_, "adapt_to_new_target before train");
   FSDA_CHECK_MSG(options_.use_reconstruction,
                  "FS mode cannot adapt without classifier retraining; use "
@@ -748,7 +748,6 @@ la::Matrix FsGanPipeline::predict_proba(const la::Matrix& x_raw) {
 
 void FsGanPipeline::predict_proba_into(const la::Matrix& x_raw,
                                        la::Matrix& proba) {
-  FSDA_SPAN("pipeline.predict");
   const BatchFacts facts = score(x_raw, proba, *own_slot_);
   health_.quarantined_rows += facts.quarantined_rows;
   health_.clamped_cells += facts.clamped_cells;

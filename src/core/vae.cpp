@@ -18,7 +18,6 @@
 #include "nn/sharded.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fsda::core {
 
@@ -50,7 +49,6 @@ VaeReconstructor::VaeReconstructor(std::size_t inv_dim, std::size_t var_dim,
 void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
                            const std::vector<std::int64_t>& /*labels*/,
                            std::size_t /*num_classes*/) {
-  FSDA_SPAN("vae.fit");
   FSDA_EVENT_SCOPE(obs::EventCategory::Training, "vae.fit");
   common::Stopwatch fit_watch;
   const double pack_seconds0 = nn::gemm_pack_seconds();

@@ -6,7 +6,6 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fsda::obs {
 
@@ -18,9 +17,6 @@ std::string build_snapshot_json(const ExtraFields& extra) {
   std::ostringstream os;
   os << "{\"ts_unix_ms\":" << now_ms
      << ",\"metrics\":" << MetricsRegistry::global().snapshot_json();
-  if (Tracer::global().enabled()) {
-    os << ",\"trace\":" << Tracer::global().to_json();
-  }
   for (const auto& [key, value] : extra) {
     os << "," << json_string(key) << ":" << value;
   }

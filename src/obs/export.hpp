@@ -2,11 +2,11 @@
 // JSON-lines stream so a collector (or a test) can tail the file.
 //
 // Snapshot layout:
-//   {"ts_unix_ms": ..., "metrics": {...}, "trace": {...}, <extra fields>}
+//   {"ts_unix_ms": ..., "metrics": {...}, <extra fields>}
 //
 // `extra` carries caller-supplied raw JSON values (already serialized),
-// e.g. {"health", pipeline.health().to_json()}.  The trace subtree is
-// included only when the tracer is enabled.
+// e.g. {"health", pipeline.health().to_json()} or, under --trace,
+// {"trace", to_json(span_tree(journal))}.
 #pragma once
 
 #include <string>
@@ -18,8 +18,7 @@ namespace fsda::obs {
 /// Caller-supplied (key, raw-JSON-value) pairs appended to the snapshot.
 using ExtraFields = std::vector<std::pair<std::string, std::string>>;
 
-/// Serializes the global registry (+ tracer when enabled) into one JSON
-/// object string.
+/// Serializes the global registry (+ `extra`) into one JSON object string.
 [[nodiscard]] std::string build_snapshot_json(const ExtraFields& extra = {});
 
 /// Appends JSON-lines snapshots of the global registry to a file.

@@ -113,14 +113,22 @@ double HdrHistogram::value_at_quantile(double q) const noexcept {
   const auto target = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(
              std::ceil(q * static_cast<double>(total))));
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < num_buckets_; ++i) {
+  std::size_t i = 0;
+  for (std::uint64_t cumulative = 0; i + 1 < num_buckets_; ++i) {
     cumulative += buckets_[i].load(std::memory_order_relaxed);
-    if (cumulative >= target) {
-      return 0.5 * (bucket_lower(i) + bucket_upper(i));
-    }
+    if (cumulative >= target) break;
   }
-  return bucket_upper(num_buckets_ - 1);
+  // Values outside [min_value, max_value] share an edge bucket whose
+  // midpoint says nothing about them; the exact extreme does.  Otherwise
+  // the extremes bound every order statistic, so clamping into them only
+  // moves the midpoint toward the true value.  (min/max, not std::clamp: a
+  // racing first record may briefly publish min > max.)
+  const double lo = min();
+  const double hi = max();
+  if (lo < options_.min_value && i == index_for(lo)) return lo;
+  if (hi > options_.max_value && i == index_for(hi)) return hi;
+  const double mid = 0.5 * (bucket_lower(i) + bucket_upper(i));
+  return std::min(std::max(mid, lo), hi);
 }
 
 void HdrHistogram::merge_from(const HdrHistogram& other) noexcept {

@@ -1,8 +1,8 @@
 // fsda::obs -- HDR-style log-linear latency histograms (DESIGN.md §14).
 //
-// The fixed-bucket obs::Histogram answers "how many under 10 ms"; serving
-// and training hot paths need "what is p99.9" with a *guaranteed* error
-// bound, mergeable across shards and time windows.  An HdrHistogram covers
+// The registry's one distribution type.  Serving and training hot paths
+// need "what is p99.9" with a *guaranteed* error bound, mergeable across
+// shards and time windows.  An HdrHistogram covers
 // [min_value, max_value] with log-linear buckets: each power-of-two range
 // is split into 2^sub_bucket_bits equal-width sub-buckets, so any recorded
 // value lands in a bucket whose width is at most value / 2^sub_bucket_bits
@@ -12,14 +12,16 @@
 //
 // of the exact order statistic (1.56% at the default 5 bits; tested
 // against a sorted-sample oracle in obs_journal_test.cpp).  Values outside
-// [min_value, max_value] are clamped into the edge buckets (the exact
-// observed min/max are tracked separately), so the bound holds for values
-// inside the configured range.
+// [min_value, max_value] are clamped into the edge buckets; the exact
+// observed min/max are tracked separately, an edge bucket holding
+// out-of-range values answers with that extreme, and every quantile is
+// clamped into [min(), max()].  So a distribution of mostly zeros
+// (separating-set sizes) reports p50 = 0, not the bottom bucket's midpoint.
 //
 // record() is wait-free -- one relaxed fetch_add on the bucket plus one on
 // a sharded sum cell -- and gated by the same process-wide telemetry flag
-// as Counter/Histogram, so counts are EXACT under concurrency and the
-// disabled cost is one relaxed load.  Reads scan the bucket array; they
+// as Counter, so counts are EXACT under concurrency and the disabled cost
+// is one relaxed load.  Reads scan the bucket array; they
 // are monotonic, not linearizable, which is all a quantile query needs.
 #pragma once
 
@@ -76,7 +78,10 @@ class HdrHistogram {
   [[nodiscard]] double max() const noexcept;
 
   /// The value at quantile `q` in [0, 1]: midpoint of the bucket holding
-  /// the ceil(q * count)-th smallest recorded value.  0 when empty.
+  /// the ceil(q * count)-th smallest recorded value, clamped into
+  /// [min(), max()]; min() or max() itself when that bucket is the edge
+  /// bucket holding values below min_value or above max_value.  0 when
+  /// empty.
   [[nodiscard]] double value_at_quantile(double q) const noexcept;
 
   /// Documented bound: |value_at_quantile(q) - exact| <= bound * exact for

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 
+#include "obs/json.hpp"
 #include "obs/perfetto_export.hpp"
 
 namespace fsda::obs {
@@ -86,6 +88,123 @@ std::size_t EventRing::size() const noexcept {
 const std::string& Journal::name(std::uint32_t id) const {
   static const std::string unknown = "?";
   return id < names.size() ? names[id] : unknown;
+}
+
+// ---------------------------------------------------------------------------
+// Span tree
+
+const SpanSnapshot* SpanSnapshot::child(const std::string& child_name) const {
+  for (const SpanSnapshot& c : children) {
+    if (c.name == child_name) return &c;
+  }
+  return nullptr;
+}
+
+SpanSnapshot span_tree(const Journal& journal) {
+  // Nodes live in a flat arena (index 0 is the root) and open scopes hold
+  // indices, so arena growth never invalidates them.
+  struct Node {
+    std::uint32_t name_id = 0;
+    std::uint64_t ns = 0;
+    std::uint64_t count = 0;
+    std::vector<std::size_t> children;
+  };
+  struct Open {
+    std::size_t node;
+    std::uint64_t begin_ns;
+  };
+  std::vector<Node> nodes(1);
+  std::vector<std::vector<Open>> stacks;  // indexed by tid
+  for (const Event& e : journal.events) {
+    if (e.type != EventType::Begin && e.type != EventType::End) continue;
+    if (e.tid >= stacks.size()) stacks.resize(e.tid + 1);
+    std::vector<Open>& stack = stacks[e.tid];
+    if (e.type == EventType::Begin) {
+      const std::size_t parent = stack.empty() ? 0 : stack.back().node;
+      std::size_t node = 0;
+      for (const std::size_t c : nodes[parent].children) {
+        if (nodes[c].name_id == e.name_id) {
+          node = c;
+          break;
+        }
+      }
+      if (node == 0) {
+        node = nodes.size();
+        nodes.push_back({e.name_id, 0, 0, {}});
+        nodes[parent].children.push_back(node);
+      }
+      stack.push_back({node, e.ts_ns});
+      continue;
+    }
+    // End: close the innermost open scope of this name; scopes opened
+    // above it lost their End and stay uncounted.
+    auto open = stack.rbegin();
+    while (open != stack.rend() && nodes[open->node].name_id != e.name_id) {
+      ++open;
+    }
+    if (open == stack.rend()) continue;  // its Begin is not in this journal
+    Node& node = nodes[open->node];
+    node.ns += e.ts_ns - open->begin_ns;
+    node.count += 1;
+    stack.erase(std::next(open).base(), stack.end());
+  }
+
+  // Copy out, dropping nodes with no closed scope anywhere below them.
+  const auto copy = [&](const auto& self, std::size_t idx) -> SpanSnapshot {
+    const Node& n = nodes[idx];
+    SpanSnapshot out{idx == 0 ? "root" : journal.name(n.name_id),
+                     1e-9 * static_cast<double>(n.ns), n.count, {}, 0};
+    for (const std::size_t c : n.children) {
+      SpanSnapshot child = self(self, c);
+      if (child.count != 0 || !child.children.empty()) {
+        out.children.push_back(std::move(child));
+      }
+    }
+    return out;
+  };
+  SpanSnapshot root = copy(copy, 0);
+  root.dropped_events = journal.dropped_total;
+  return root;
+}
+
+std::string to_string(const SpanSnapshot& tree) {
+  std::ostringstream os;
+  if (tree.dropped_events > 0) {
+    os << "(" << tree.dropped_events
+       << " journal events dropped: spans may be missing)\n";
+  }
+  const auto render = [&os](const auto& self, const SpanSnapshot& n,
+                            int depth) -> void {
+    if (depth >= 0) {
+      for (int i = 0; i < depth; ++i) os << "  ";
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.3f ms", n.seconds * 1e3);
+      os << n.name << ": " << buf << " (x" << n.count << ")\n";
+    }
+    for (const SpanSnapshot& c : n.children) self(self, c, depth + 1);
+  };
+  render(render, tree, -1);
+  return os.str();
+}
+
+std::string to_json(const SpanSnapshot& tree) {
+  std::ostringstream os;
+  const auto render = [&os](const auto& self, const SpanSnapshot& n) -> void {
+    os << "{\"name\":" << json_string(n.name)
+       << ",\"seconds\":" << json_number(n.seconds)
+       << ",\"count\":" << n.count;
+    if (n.dropped_events > 0) {
+      os << ",\"dropped_events\":" << n.dropped_events;
+    }
+    os << ",\"children\":[";
+    for (std::size_t i = 0; i < n.children.size(); ++i) {
+      if (i > 0) os << ",";
+      self(self, n.children[i]);
+    }
+    os << "]}";
+  };
+  render(render, tree);
+  return os.str();
 }
 
 // ---------------------------------------------------------------------------

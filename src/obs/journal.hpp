@@ -22,8 +22,11 @@
 //
 // Snapshots merge all rings into a time-ordered Journal which the
 // exporters (perfetto_export.hpp) turn into Chrome/Perfetto trace JSON or
-// a JSON-lines dump, and which bench_drift_loop queries to compute
-// detection latency and recovery time as first-class quantities.
+// a JSON-lines dump, which span_tree() folds into the per-run timing tree
+// (`fsda_cli run --trace`, FSDA_TRACE), and which bench_drift_loop queries
+// to compute detection latency and recovery time as first-class
+// quantities.  One primitive per concept: the registry keeps totals,
+// HdrHistogram keeps distributions, the journal keeps *when*.
 #pragma once
 
 #include <atomic>
@@ -133,6 +136,37 @@ struct Journal {
 
   [[nodiscard]] const std::string& name(std::uint32_t id) const;
 };
+
+/// Plain-value span tree folded from a journal's Begin/End pairs.
+struct SpanSnapshot {
+  std::string name;
+  double seconds = 0.0;
+  std::uint64_t count = 0;
+  std::vector<SpanSnapshot> children;
+  /// Root only: the journal's dropped_total.  Nonzero means full rings
+  /// lost events, so spans may be missing or undercounted.
+  std::uint64_t dropped_events = 0;
+
+  /// First direct child with this name, or nullptr.
+  [[nodiscard]] const SpanSnapshot* child(const std::string& child_name) const;
+};
+
+/// Folds Begin/End pairs into a tree under a synthetic "root" node.
+/// Pairs are matched on a stack per thread, so scopes nest only within
+/// their own thread and each thread's outermost scopes hang off the root;
+/// same-named scopes under the same parent merge, summing seconds and
+/// counts.  An End with no open Begin (its Begin was dropped, or drained
+/// by an earlier snapshot) and a Begin still open at the end of the
+/// journal contribute nothing.
+[[nodiscard]] SpanSnapshot span_tree(const Journal& journal);
+
+/// Indented human-readable tree (milliseconds, counts), plus a warning
+/// line when events were dropped.
+[[nodiscard]] std::string to_string(const SpanSnapshot& tree);
+
+/// {"name":...,"seconds":...,"count":...,"children":[...]}; the root also
+/// carries "dropped_events" when nonzero.
+[[nodiscard]] std::string to_json(const SpanSnapshot& tree);
 
 namespace detail {
 extern std::atomic<bool> g_recorder_enabled;

@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <thread>
 
@@ -32,55 +31,6 @@ void set_telemetry_enabled(bool on) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram.
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  FSDA_CHECK_MSG(std::is_sorted(bounds_.begin(), bounds_.end()),
-                 "histogram bounds must be ascending");
-  buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
-}
-
-void Histogram::observe(double v) noexcept {
-  if (!detail::g_enabled.load(std::memory_order_relaxed)) return;
-  std::size_t b = 0;
-  while (b < bounds_.size() && v > bounds_[b]) ++b;
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
-  sums_[detail::shard_index()].sum.fetch_add(v, std::memory_order_relaxed);
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-std::uint64_t Histogram::count() const noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    total += buckets_[i].load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Histogram::sum() const noexcept {
-  double total = 0.0;
-  for (const SumCell& c : sums_) {
-    total += c.sum.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Histogram::reset() noexcept {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  for (SumCell& c : sums_) c.sum.store(0.0, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
 // Registry.
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -93,8 +43,7 @@ MetricsRegistry& MetricsRegistry::global() {
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const std::string& help) {
   std::lock_guard<std::mutex> lock(mutex_);
-  FSDA_CHECK_MSG(!gauges_.count(name) && !histograms_.count(name) &&
-                     !hdrs_.count(name),
+  FSDA_CHECK_MSG(!gauges_.count(name) && !hdrs_.count(name),
                  "metric '" << name << "' already registered with another type");
   auto it = counters_.find(name);
   if (it == counters_.end()) {
@@ -107,8 +56,7 @@ Counter& MetricsRegistry::counter(const std::string& name,
 Gauge& MetricsRegistry::gauge(const std::string& name,
                               const std::string& help) {
   std::lock_guard<std::mutex> lock(mutex_);
-  FSDA_CHECK_MSG(!counters_.count(name) && !histograms_.count(name) &&
-                     !hdrs_.count(name),
+  FSDA_CHECK_MSG(!counters_.count(name) && !hdrs_.count(name),
                  "metric '" << name << "' already registered with another type");
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
@@ -118,28 +66,10 @@ Gauge& MetricsRegistry::gauge(const std::string& name,
   return *it->second;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds,
-                                      const std::string& help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  FSDA_CHECK_MSG(!counters_.count(name) && !gauges_.count(name) &&
-                     !hdrs_.count(name),
-                 "metric '" << name << "' already registered with another type");
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(name, std::make_unique<Histogram>(std::move(bounds)))
-             .first;
-    if (!help.empty()) help_[name] = help;
-  }
-  return *it->second;
-}
-
 HdrHistogram& MetricsRegistry::hdr(const std::string& name, HdrOptions options,
                                    const std::string& help) {
   std::lock_guard<std::mutex> lock(mutex_);
-  FSDA_CHECK_MSG(!counters_.count(name) && !gauges_.count(name) &&
-                     !histograms_.count(name),
+  FSDA_CHECK_MSG(!counters_.count(name) && !gauges_.count(name),
                  "metric '" << name << "' already registered with another type");
   auto it = hdrs_.find(name);
   if (it == hdrs_.end()) {
@@ -152,7 +82,7 @@ HdrHistogram& MetricsRegistry::hdr(const std::string& name, HdrOptions options,
 bool MetricsRegistry::has(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return counters_.count(name) != 0 || gauges_.count(name) != 0 ||
-         histograms_.count(name) != 0 || hdrs_.count(name) != 0;
+         hdrs_.count(name) != 0;
 }
 
 double MetricsRegistry::gauge_value(const std::string& name,
@@ -239,22 +169,6 @@ std::string MetricsRegistry::expose_text() const {
     const auto [base, label] = split_label(name);
     os << prom_name(base) << label << " " << json_number(g->value()) << "\n";
   }
-  for (const auto& [name, h] : histograms_) {
-    help_line(name, "histogram");
-    const auto [base, label] = split_label(name);
-    (void)label;
-    const std::string pname = prom_name(base);
-    const auto counts = h->bucket_counts();
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      cumulative += counts[b];
-      const std::string le =
-          b < h->bounds().size() ? json_number(h->bounds()[b]) : "+Inf";
-      os << pname << "_bucket{le=\"" << le << "\"} " << cumulative << "\n";
-    }
-    os << pname << "_sum " << json_number(h->sum()) << "\n";
-    os << pname << "_count " << cumulative << "\n";
-  }
   for (const auto& [name, h] : hdrs_) {
     help_line(name, "summary");
     const auto [base, label] = split_label(name);
@@ -285,22 +199,6 @@ std::string MetricsRegistry::snapshot_json() const {
        << json_number(g->value());
     first = false;
   }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    os << (first ? "" : ",") << json_string(name) << ":{\"bounds\":[";
-    for (std::size_t b = 0; b < h->bounds().size(); ++b) {
-      os << (b ? "," : "") << json_number(h->bounds()[b]);
-    }
-    os << "],\"counts\":[";
-    const auto counts = h->bucket_counts();
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      os << (b ? "," : "") << counts[b];
-    }
-    os << "],\"count\":" << h->count()
-       << ",\"sum\":" << json_number(h->sum()) << "}";
-    first = false;
-  }
   os << "},\"hdr\":{";
   first = true;
   for (const auto& [name, h] : hdrs_) {
@@ -324,7 +222,6 @@ void MetricsRegistry::reset_values() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
   for (auto& [name, h] : hdrs_) h->reset();
 }
 

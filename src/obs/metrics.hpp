@@ -1,8 +1,9 @@
-// fsda::obs -- process-wide metrics registry: counters, gauges, and
-// fixed-bucket histograms.
+// fsda::obs -- process-wide metrics registry: counters, gauges, and HDR
+// histograms (hdr_histogram.hpp), one primitive per concept: totals here,
+// distributions in HDR, *when* in the flight-recorder journal.
 //
 // Hot-path increments must be safe inside ThreadPool workers and must not
-// serialize them: Counter and Histogram spread their cells across
+// serialize them: Counter and HdrHistogram spread their cells across
 // cache-line-aligned shards updated with relaxed atomics, so an increment
 // is a single wait-free fetch_add on the calling thread's shard.  Reads
 // (value(), the exporters) sum the shards; they are monotonic but not a
@@ -14,7 +15,7 @@
 // `drift.psi{feature="17"}`; the registry treats the full string as the
 // key and the text exposition splits it back into name + label.
 //
-// The global enabled flag gates Counter::inc and Histogram::observe (the
+// The global enabled flag gates Counter::inc and HdrHistogram::record (the
 // hot paths).  Gauge::set always applies: gauges are cold-path stage
 // summaries that double as accessors (e.g. reconstructor fit seconds), so
 // they must stay truthful even with telemetry off.
@@ -28,17 +29,16 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/hdr_histogram.hpp"
 
 namespace fsda::obs {
 
-/// True when counter/histogram recording is active (default: off --
+/// True when counter/HDR recording is active (default: off --
 /// exporters, the CLI telemetry flags, and FSDA_METRICS_OUT turn it on).
 [[nodiscard]] bool telemetry_enabled() noexcept;
 
-/// Toggles counter/histogram recording process-wide.
+/// Toggles counter/HDR recording process-wide.
 void set_telemetry_enabled(bool on) noexcept;
 
 // detail::g_enabled (the process-wide gate), detail::kShards, and
@@ -87,32 +87,7 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Fixed-bucket histogram: `bounds` are ascending inclusive upper edges,
-/// with an implicit +inf bucket appended.  observe() is two relaxed
-/// fetch_adds (bucket count + sharded sum cell) after a linear bound scan.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v) noexcept;
-
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket counts, bounds().size() + 1 entries (last is +inf).
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
-  [[nodiscard]] std::uint64_t count() const noexcept;
-  [[nodiscard]] double sum() const noexcept;
-  void reset() noexcept;
-
- private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
-  struct alignas(64) SumCell {
-    std::atomic<double> sum{0.0};
-  };
-  std::array<SumCell, detail::kShards> sums_{};
-};
-
-/// Name -> metric map with stable handles: counter()/gauge()/histogram()
+/// Name -> metric map with stable handles: counter()/gauge()/hdr()
 /// find-or-create under a mutex and return a reference that stays valid
 /// for the registry's lifetime, so call sites resolve once and increment
 /// lock-free afterwards.
@@ -128,12 +103,9 @@ class MetricsRegistry {
 
   Counter& counter(const std::string& name, const std::string& help = {});
   Gauge& gauge(const std::string& name, const std::string& help = {});
-  /// `bounds` are consulted only on first registration.
-  Histogram& histogram(const std::string& name, std::vector<double> bounds,
-                       const std::string& help = {});
-  /// Log-linear quantile histogram (exact p50/p90/p99/p999 within the HDR
+  /// Log-linear quantile histogram (p50/p90/p99/p999 within the HDR
   /// relative-error bound).  `options` are consulted only on first
-  /// registration.  Prefer this over histogram() on latency hot paths.
+  /// registration.
   HdrHistogram& hdr(const std::string& name, HdrOptions options = {},
                     const std::string& help = {});
 
@@ -145,8 +117,8 @@ class MetricsRegistry {
 
   /// Prometheus-style text exposition (names sanitized, `fsda_` prefix).
   [[nodiscard]] std::string expose_text() const;
-  /// One JSON object with "counters", "gauges", "histograms", and "hdr"
-  /// sections (hdr entries carry count/sum/min/max/p50/p90/p99/p999).
+  /// One JSON object with "counters", "gauges", and "hdr" sections (hdr
+  /// entries carry count/sum/min/max/p50/p90/p99/p999).
   [[nodiscard]] std::string snapshot_json() const;
 
   /// Zeroes every registered metric (tests); registrations are kept.
@@ -156,7 +128,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<HdrHistogram>> hdrs_;
   std::map<std::string, std::string> help_;
 };

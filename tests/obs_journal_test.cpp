@@ -184,6 +184,110 @@ TEST(FlightRecorderTest, JsonlDumpAndPerfettoRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// Span tree built from the journal
+
+TEST(SpanTreeTest, NestsAndAggregates) {
+  RecorderOn on;
+  {
+    FSDA_EVENT_SCOPE(obs::EventCategory::System, "outer");
+    { FSDA_EVENT_SCOPE(obs::EventCategory::System, "inner"); }
+    { FSDA_EVENT_SCOPE(obs::EventCategory::System, "inner"); }
+    { FSDA_EVENT_SCOPE(obs::EventCategory::System, "other"); }
+  }
+  { FSDA_EVENT_SCOPE(obs::EventCategory::System, "outer"); }
+  const obs::SpanSnapshot root =
+      obs::span_tree(obs::FlightRecorder::global().snapshot());
+
+  EXPECT_EQ(root.name, "root");
+  ASSERT_EQ(root.children.size(), 1u);
+  const obs::SpanSnapshot* outer = root.child("outer");
+  ASSERT_NE(outer, nullptr);
+  EXPECT_EQ(outer->count, 2u);
+  EXPECT_GE(outer->seconds, 0.0);
+  const obs::SpanSnapshot* inner = outer->child("inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(inner->count, 2u);
+  ASSERT_NE(outer->child("other"), nullptr);
+  EXPECT_EQ(outer->child("other")->count, 1u);
+  // Children's time is contained in the parent's.
+  EXPECT_LE(inner->seconds, outer->seconds);
+
+  const std::string text = obs::to_string(root);
+  EXPECT_NE(text.find("outer: "), std::string::npos);
+  EXPECT_NE(text.find("  inner: "), std::string::npos);
+  EXPECT_EQ(text.find("dropped"), std::string::npos);
+  const auto json = obs::json_parse(obs::to_json(root));
+  ASSERT_TRUE(json.has_value());
+  EXPECT_EQ(json->string_or("name", ""), "root");
+  EXPECT_EQ(json->find("dropped_events"), nullptr);
+  ASSERT_EQ(json->find("children")->array.size(), 1u);
+  EXPECT_EQ(json->find("children")->array[0].string_or("name", ""), "outer");
+}
+
+TEST(SpanTreeTest, DisabledScopesLeaveNoNode) {
+  auto& rec = obs::FlightRecorder::global();
+  rec.reset();
+  rec.set_enabled(false);
+  { FSDA_EVENT_SCOPE(obs::EventCategory::System, "ghost"); }
+  EXPECT_TRUE(obs::span_tree(rec.snapshot()).children.empty());
+}
+
+TEST(SpanTreeTest, ScopesOnTwoThreadsDoNotNest) {
+  RecorderOn on;
+  {
+    FSDA_EVENT_SCOPE(obs::EventCategory::System, "main.outer");
+    // The worker's scope opens and closes while main.outer is open on
+    // this thread; it must still hang off the root.
+    std::thread([] {
+      FSDA_EVENT_SCOPE(obs::EventCategory::System, "worker.task");
+    }).join();
+  }
+  const obs::SpanSnapshot root =
+      obs::span_tree(obs::FlightRecorder::global().snapshot());
+  const obs::SpanSnapshot* outer = root.child("main.outer");
+  ASSERT_NE(outer, nullptr);
+  EXPECT_TRUE(outer->children.empty());
+  ASSERT_NE(root.child("worker.task"), nullptr);
+  EXPECT_EQ(root.child("worker.task")->count, 1u);
+}
+
+TEST(SpanTreeTest, UnmatchedBeginAndEndAreSkipped) {
+  RecorderOn on;
+  auto& rec = obs::FlightRecorder::global();
+  const std::size_t prior_capacity = rec.thread_ring_capacity();
+  rec.set_thread_ring_capacity(8);  // only for the fresh thread below
+  obs::Journal first, second;
+  std::thread([&] {
+    for (int i = 0; i < 8; ++i) {  // fill the ring
+      FSDA_EVENT_INSTANT(obs::EventCategory::System, "fill", 0.0);
+    }
+    {
+      FSDA_EVENT_SCOPE(obs::EventCategory::System, "lost");  // Begin dropped
+      first = rec.snapshot();  // drains the ring
+    }  // End of "lost" recorded with no Begin
+    { FSDA_EVENT_SCOPE(obs::EventCategory::System, "kept"); }
+    FSDA_EVENT_SCOPE(obs::EventCategory::System, "held");  // never closed
+    second = rec.snapshot();
+  }).join();
+  rec.set_thread_ring_capacity(prior_capacity);
+
+  EXPECT_EQ(first.events.size(), 8u);
+  EXPECT_TRUE(obs::span_tree(first).children.empty());
+  ASSERT_EQ(second.events.size(), 4u);  // E lost, B/E kept, B held
+  const obs::SpanSnapshot root = obs::span_tree(second);
+  ASSERT_EQ(root.children.size(), 1u);
+  ASSERT_NE(root.child("kept"), nullptr);
+  EXPECT_EQ(root.child("kept")->count, 1u);
+  // The dropped Begin is reported, in both renderings.
+  EXPECT_GE(root.dropped_events, 1u);
+  EXPECT_NE(obs::to_string(root).find("journal events dropped"),
+            std::string::npos);
+  const auto json = obs::json_parse(obs::to_json(root));
+  ASSERT_TRUE(json.has_value());
+  EXPECT_GE(json->number_or("dropped_events", 0.0), 1.0);
+}
+
+// ---------------------------------------------------------------------------
 // HdrHistogram
 
 TEST(HdrHistogramTest, QuantilesMatchSortedOracleWithinBound) {
@@ -249,6 +353,22 @@ TEST(HdrHistogramTest, OutOfRangeValuesClampIntoEdgeBuckets) {
   ASSERT_EQ(buckets.size(), 2u);
   EXPECT_EQ(buckets.front().count, 2u);
   EXPECT_EQ(buckets.back().count, 1u);
+}
+
+TEST(HdrHistogramTest, QuantilesStayInsideObservedRange) {
+  // Mostly zeros (separating-set sizes): every zero sits below min_value,
+  // so the bottom bucket's midpoint (~0.00102) would overstate p50.
+  obs::HdrHistogram sizes;
+  for (const double v : {0.0, 0.0, 0.0, 1.0}) sizes.record_always(v);
+  EXPECT_EQ(sizes.value_at_quantile(0.5), 0.0);
+  EXPECT_NEAR(sizes.value_at_quantile(1.0), 1.0,
+              sizes.relative_error_bound());
+  // Above max_value every value shares the top bucket, whose midpoint
+  // would understate the tail; the exact max is the answer.
+  obs::HdrHistogram big({1.0, 1000.0, 5});
+  for (const double v : {2000.0, 3000.0, 5000.0}) big.record_always(v);
+  EXPECT_EQ(big.value_at_quantile(0.999), big.max());
+  EXPECT_EQ(big.max(), 5000.0);
 }
 
 TEST(HdrHistogramTest, MergePreservesTotalsAndQuantiles) {

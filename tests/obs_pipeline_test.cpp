@@ -10,8 +10,8 @@
 #include "core/pipeline.hpp"
 #include "data/gen5gc.hpp"
 #include "models/factory.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fsda::core {
 namespace {
@@ -28,8 +28,9 @@ TEST(ObsPipelineTest, TrainAndPredictPopulateRegistry) {
   obs::set_telemetry_enabled(true);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   registry.reset_values();
-  obs::Tracer::global().set_enabled(true);
-  obs::Tracer::global().reset();
+  obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+  recorder.reset();
+  recorder.set_enabled(true);
 
   const data::DomainSplit split =
       data::generate_5gc(data::Gen5GCConfig::tiny());
@@ -45,7 +46,7 @@ TEST(ObsPipelineTest, TrainAndPredictPopulateRegistry) {
   pipeline.train(split.source_train, shots);
   const la::Matrix proba = pipeline.predict_proba(split.target_test.x);
 
-  obs::Tracer::global().set_enabled(false);
+  recorder.set_enabled(false);
   obs::set_telemetry_enabled(false);
 
   // Stage counters.
@@ -56,6 +57,9 @@ TEST(ObsPipelineTest, TrainAndPredictPopulateRegistry) {
   EXPECT_EQ(registry.counter("predict.batches_total").value(), 1u);
   EXPECT_GT(registry.counter("recon.draws_total").value(), 0u);
   EXPECT_GT(registry.counter("scaler.transform_rows_total").value(), 0u);
+  // Separating-set sizes are an HDR distribution (hdr() throws if the
+  // name were registered with another type).
+  EXPECT_GT(registry.hdr("fs.sepset_size").count(), 0u);
 
   // Stage timing gauges.
   EXPECT_GT(registry.gauge_value("pipeline.scaler_fit_seconds", -1.0), 0.0);
@@ -108,8 +112,9 @@ TEST(ObsPipelineTest, TrainAndPredictPopulateRegistry) {
   EXPECT_EQ(registry.counter("predict.quarantined_rows_total").value(),
             health.quarantined_rows);
 
-  // The span tree recorded the stage structure.
-  const obs::SpanSnapshot root = obs::Tracer::global().snapshot();
+  // The span tree built from the journal recorded the stage structure.
+  const obs::SpanSnapshot root = obs::span_tree(recorder.snapshot());
+  EXPECT_EQ(root.dropped_events, 0u);
   const obs::SpanSnapshot* train = root.child("pipeline.train");
   ASSERT_NE(train, nullptr);
   EXPECT_EQ(train->count, 1u);
@@ -118,7 +123,8 @@ TEST(ObsPipelineTest, TrainAndPredictPopulateRegistry) {
   const obs::SpanSnapshot* recon = train->child("pipeline.reconstructor_fit");
   ASSERT_NE(recon, nullptr);
   EXPECT_NE(recon->child("cgan.fit"), nullptr);
-  const obs::SpanSnapshot* predict = root.child("pipeline.predict");
+  EXPECT_NE(train->child("pipeline.classifier_fit"), nullptr);
+  const obs::SpanSnapshot* predict = root.child("predict.batch");
   ASSERT_NE(predict, nullptr);
   EXPECT_EQ(predict->count, 1u);
 

@@ -1,6 +1,7 @@
-// fsda::obs unit tests: sharded counters/histograms under concurrent
-// hammering, gating, exposition/JSON formats, span trees, drift PSI, and
-// the snapshot sink.
+// fsda::obs unit tests: sharded counters under concurrent hammering,
+// gating, exposition/JSON formats, drift PSI, and the snapshot sink.
+// (HDR histograms, the flight recorder and its span tree are covered in
+// obs_journal_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,12 +20,11 @@
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fsda {
 namespace {
 
-/// Enables counter/histogram recording for one test, restoring the prior
+/// Enables counter/HDR recording for one test, restoring the prior
 /// state afterwards (the flag is process-global).
 class TelemetryOn {
  public:
@@ -86,48 +86,6 @@ TEST(GaugeTest, SetAppliesEvenWhenDisabled) {
   obs::set_telemetry_enabled(prior);
 }
 
-TEST(HistogramTest, BucketsCountAndSum) {
-  TelemetryOn on;
-  obs::Histogram hist({1.0, 10.0});
-  hist.observe(0.5);   // bucket le=1
-  hist.observe(1.0);   // inclusive upper edge: still le=1
-  hist.observe(5.0);   // le=10
-  hist.observe(100.0); // +inf
-  EXPECT_EQ(hist.count(), 4u);
-  EXPECT_DOUBLE_EQ(hist.sum(), 106.5);
-  const auto counts = hist.bucket_counts();
-  ASSERT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
-}
-
-TEST(HistogramTest, ExactTotalsUnderConcurrentObserves) {
-  TelemetryOn on;
-  obs::Histogram hist({1.0, 2.0, 3.0});
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&hist] {
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        hist.observe(static_cast<double>(i % 4));  // 0,1,2,3
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(hist.count(), kThreads * kPerThread);
-  const auto counts = hist.bucket_counts();
-  ASSERT_EQ(counts.size(), 4u);
-  // i%4 == 0 and == 1 both land in the le=1 bucket.
-  EXPECT_EQ(counts[0], 2 * kThreads * (kPerThread / 4));
-  EXPECT_EQ(counts[1], kThreads * (kPerThread / 4));
-  EXPECT_EQ(counts[2], kThreads * (kPerThread / 4));
-  EXPECT_EQ(counts[3], 0u);  // no value exceeds 3
-  EXPECT_DOUBLE_EQ(hist.sum(),
-                   static_cast<double>(kThreads * (kPerThread / 4) * 6));
-}
-
 TEST(ThreadPoolTelemetryTest, WorkersRecordTasksAndQueueWait) {
   TelemetryOn on;
   auto& registry = obs::MetricsRegistry::global();
@@ -161,11 +119,14 @@ TEST(RegistryTest, ExpositionGolden) {
   obs::MetricsRegistry reg;
   reg.counter("fs.ci_tests_total", "CI tests run").inc(3);
   reg.gauge("drift.psi{feature=\"3\"}").set(0.5);
-  obs::Histogram& hist =
-      reg.histogram("predict.latency_ms", {1.0, 10.0}, "batch latency");
-  hist.observe(0.5);
-  hist.observe(5.0);
-  hist.observe(100.0);
+  // Two sub-buckets per octave keep bucket midpoints exact in binary;
+  // p90+ land in [96, 128) and clamp to the observed max.
+  obs::HdrHistogram& hist = reg.hdr("predict.latency_ms",
+                                    obs::HdrOptions{1.0, 1024.0, 1},
+                                    "batch latency");
+  hist.record(0.5);
+  hist.record(5.0);
+  hist.record(100.0);
   const std::string expected =
       "# HELP fsda_fs_ci_tests_total CI tests run\n"
       "# TYPE fsda_fs_ci_tests_total counter\n"
@@ -173,10 +134,11 @@ TEST(RegistryTest, ExpositionGolden) {
       "# TYPE fsda_drift_psi gauge\n"
       "fsda_drift_psi{feature=\"3\"} 0.5\n"
       "# HELP fsda_predict_latency_ms batch latency\n"
-      "# TYPE fsda_predict_latency_ms histogram\n"
-      "fsda_predict_latency_ms_bucket{le=\"1\"} 1\n"
-      "fsda_predict_latency_ms_bucket{le=\"10\"} 2\n"
-      "fsda_predict_latency_ms_bucket{le=\"+Inf\"} 3\n"
+      "# TYPE fsda_predict_latency_ms summary\n"
+      "fsda_predict_latency_ms{quantile=\"0.5\"} 5\n"
+      "fsda_predict_latency_ms{quantile=\"0.9\"} 100\n"
+      "fsda_predict_latency_ms{quantile=\"0.99\"} 100\n"
+      "fsda_predict_latency_ms{quantile=\"0.999\"} 100\n"
       "fsda_predict_latency_ms_sum 105.5\n"
       "fsda_predict_latency_ms_count 3\n";
   EXPECT_EQ(reg.expose_text(), expected);
@@ -187,13 +149,13 @@ TEST(RegistryTest, SnapshotJsonGolden) {
   obs::MetricsRegistry reg;
   reg.counter("c.n_total").inc(7);
   reg.gauge("g.v").set(1.5);
-  reg.histogram("h.ms", {2.0}).observe(1.0);
+  reg.hdr("h.ms", obs::HdrOptions{1.0, 1024.0, 1}).record(1.0);
   const std::string expected =
       "{\"counters\":{\"c.n_total\":7},"
       "\"gauges\":{\"g.v\":1.5},"
-      "\"histograms\":{\"h.ms\":{\"bounds\":[2],\"counts\":[1,0],"
-      "\"count\":1,\"sum\":1}},"
-      "\"hdr\":{}}";
+      "\"hdr\":{\"h.ms\":{\"count\":1,\"sum\":1,\"min\":1,\"max\":1,"
+      "\"p50\":1,\"p90\":1,\"p99\":1,\"p999\":1,"
+      "\"relative_error_bound\":0.25}}}";
   EXPECT_EQ(reg.snapshot_json(), expected);
 }
 
@@ -263,12 +225,12 @@ TEST(RegistryTest, ResetValuesKeepsRegistrations) {
   obs::MetricsRegistry reg;
   reg.counter("x_total").inc(5);
   reg.gauge("y").set(2.0);
-  reg.histogram("z", {1.0}).observe(0.5);
+  reg.hdr("z").record(0.5);
   reg.reset_values();
   EXPECT_TRUE(reg.has("x_total"));
   EXPECT_EQ(reg.counter("x_total").value(), 0u);
   EXPECT_DOUBLE_EQ(reg.gauge_value("y"), 0.0);
-  EXPECT_EQ(reg.histogram("z", {}).count(), 0u);
+  EXPECT_EQ(reg.hdr("z").count(), 0u);
 }
 
 TEST(JsonTest, EscapesControlAndQuoteCharacters) {
@@ -281,47 +243,6 @@ TEST(JsonTest, EscapesControlAndQuoteCharacters) {
   // Non-finite doubles have no JSON literal; exported as null.
   EXPECT_EQ(obs::json_number(std::numeric_limits<double>::quiet_NaN()),
             "null");
-}
-
-TEST(TracerTest, SpanTreeNestsAndAggregates) {
-  obs::Tracer& tracer = obs::Tracer::global();
-  tracer.set_enabled(true);
-  tracer.reset();
-  {
-    FSDA_SPAN("outer");
-    { FSDA_SPAN("inner"); }
-    { FSDA_SPAN("inner"); }
-    { FSDA_SPAN("other"); }
-  }
-  { FSDA_SPAN("outer"); }
-  const obs::SpanSnapshot root = tracer.snapshot();
-  tracer.set_enabled(false);
-
-  const obs::SpanSnapshot* outer = root.child("outer");
-  ASSERT_NE(outer, nullptr);
-  EXPECT_EQ(outer->count, 2u);
-  EXPECT_GE(outer->seconds, 0.0);
-  const obs::SpanSnapshot* inner = outer->child("inner");
-  ASSERT_NE(inner, nullptr);
-  EXPECT_EQ(inner->count, 2u);
-  ASSERT_NE(outer->child("other"), nullptr);
-  EXPECT_EQ(outer->child("other")->count, 1u);
-  // Children's time is contained in the parent's.
-  EXPECT_LE(inner->seconds, outer->seconds);
-
-  const std::string text = tracer.to_string();
-  EXPECT_NE(text.find("outer"), std::string::npos);
-  EXPECT_NE(text.find("inner"), std::string::npos);
-  const std::string json = tracer.to_json();
-  EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
-}
-
-TEST(TracerTest, DisabledSpansRecordNothing) {
-  obs::Tracer& tracer = obs::Tracer::global();
-  tracer.set_enabled(false);
-  tracer.reset();
-  { FSDA_SPAN("ghost"); }
-  EXPECT_EQ(tracer.snapshot().child("ghost"), nullptr);
 }
 
 TEST(DriftMonitorTest, IdenticalDistributionScoresNearZero) {

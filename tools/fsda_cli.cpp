@@ -10,8 +10,9 @@
 //         [--out predictions.csv] [--metrics-out snapshot.json] [--trace]
 //       Fit the pipeline on your own data and score/emit predictions.
 //       --metrics-out writes one JSON metrics snapshot (stage timings,
-//       drift gauges, health report) after scoring; --trace prints the
-//       span timing tree to stderr.
+//       drift gauges, health report) after scoring; --trace turns on the
+//       flight recorder and prints the span timing tree built from its
+//       journal to stderr (and into the snapshot's "trace" field).
 //   fsda_cli serve-bench [5gc|5gipc] [--iters N] [--batch N] [--reps N]
 //       Train an FS+GAN pipeline on the synthetic instance and benchmark
 //       the serving path: single-sample HDR latency quantiles
@@ -62,7 +63,6 @@
 #include "obs/metrics.hpp"
 #include "obs/journal.hpp"
 #include "obs/perfetto_export.hpp"
-#include "obs/trace.hpp"
 #include "serve/daemon.hpp"
 #include "serve/uds.hpp"
 #include "serving_bench.hpp"
@@ -159,7 +159,7 @@ int cmd_run(int argc, char** argv) {
   if (!metrics_out.empty()) obs::set_telemetry_enabled(true);
   if (trace) {
     obs::set_telemetry_enabled(true);
-    obs::Tracer::global().set_enabled(true);
+    obs::FlightRecorder::global().set_enabled(true);
   }
 
   const data::Dataset source = data::read_dataset_csv(source_path, label);
@@ -194,8 +194,14 @@ int cmd_run(int argc, char** argv) {
     common::write_csv(out, table);
     std::printf("predictions written to %s\n", out.c_str());
   }
+  // One journal snapshot feeds both the stderr tree and the "trace" field.
+  obs::ExtraFields extra;
+  obs::SpanSnapshot tree;
+  if (trace) {
+    tree = obs::span_tree(obs::FlightRecorder::global().snapshot());
+    extra.emplace_back("trace", obs::to_json(tree));
+  }
   if (!metrics_out.empty()) {
-    obs::ExtraFields extra;
     auto* fs_gan = dynamic_cast<baselines::FsReconMethod*>(da.get());
     auto* fs_only = dynamic_cast<baselines::FsMethod*>(da.get());
     const core::HealthReport& health = fs_gan != nullptr
@@ -211,9 +217,7 @@ int cmd_run(int argc, char** argv) {
       return 1;
     }
   }
-  if (trace) {
-    std::fprintf(stderr, "%s", obs::Tracer::global().to_string().c_str());
-  }
+  if (trace) std::fprintf(stderr, "%s", obs::to_string(tree).c_str());
   return 0;
 }
 
