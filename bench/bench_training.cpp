@@ -1,11 +1,9 @@
-// Training-path benchmark: backward-pass packed GEMM kernels, fused SIMD
-// Adam, and sharded minibatches (DESIGN.md section 12), on the paper's
+// Training-path benchmark: row-parallel staged passes, backward-pass packed
+// GEMM kernels and fused SIMD Adam (DESIGN.md section 12), on the paper's
 // 442-feature 5GC telemetry shapes.
 //
 // For each reconstructor (CGAN, VAE, VanillaAE) the bench times a fit and
-// reports fit seconds, ms/step and the GEMM pack seconds.  A second CGAN
-// run adds auto sharding (train_shards = 0) to show the data-parallel path
-// on top of the packed kernels.  One JSON line of
+// reports fit seconds, ms/step and the GEMM pack seconds.  One JSON line of
 // results goes to BENCH_training.json under the bench output directory (CI
 // uploads it as an artifact so the perf trajectory is tracked).
 //
@@ -142,11 +140,6 @@ int main() {
   core::ConditionalGAN gan(inv_dim, var_dim, gan_opts, 7);
   const FitResult gan_r = run(gan);
 
-  core::CganOptions gan_shard_opts = gan_opts;
-  gan_shard_opts.train_shards = 0;  // auto: one shard per pool participant
-  core::ConditionalGAN gan_sharded(inv_dim, var_dim, gan_shard_opts, 7);
-  const FitResult gan_s = run(gan_sharded);
-
   core::VaeReconstructor vae(inv_dim, var_dim, vae_opts, 7);
   const FitResult vae_r = run(vae);
 
@@ -156,7 +149,6 @@ int main() {
   std::printf("\n%-14s %10s %12s %10s\n", "model", "fit(s)", "ms/step",
               "pack(s)");
   print_row("CGAN", gan_r);
-  print_row("CGAN+shards", gan_s);
   print_row("VAE", vae_r);
   print_row("VanillaAE", ae_r);
   std::printf("GEMM pack time, CGAN fit: %.3fs (%.1f%% of fit)\n",
@@ -172,13 +164,13 @@ int main() {
         line, sizeof(line),
         "{\"bench\":\"training\",\"smoke\":%s,\"inv_dim\":%zu,"
         "\"var_dim\":%zu,\"samples\":%zu,\"epochs\":%zu,\"avx2\":%s,"
-        "\"cgan\":{\"fit_s\":%.3f,\"ms_per_step\":%.3f,\"sharded_s\":%.3f,"
+        "\"cgan\":{\"fit_s\":%.3f,\"ms_per_step\":%.3f,"
         "\"pack_seconds\":%.4f},"
         "\"vae\":{\"fit_s\":%.3f,\"ms_per_step\":%.3f},"
         "\"ae\":{\"fit_s\":%.3f,\"ms_per_step\":%.3f}}\n",
         smoke ? "true" : "false", inv_dim, var_dim, n, epochs,
         la::gemm_avx2_available() ? "true" : "false", gan_r.seconds,
-        gan_r.ms_per_step, gan_s.seconds, gan_r.pack_seconds, vae_r.seconds,
+        gan_r.ms_per_step, gan_r.pack_seconds, vae_r.seconds,
         vae_r.ms_per_step, ae_r.seconds, ae_r.ms_per_step);
     out << line;
     std::printf("results written to %s\n", path.c_str());

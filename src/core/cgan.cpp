@@ -18,7 +18,6 @@
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/parallel_sum.hpp"
-#include "nn/sharded.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 
@@ -96,9 +95,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   // Generator: tanh( linear([X_inv, Z]) + MLP([X_inv, Z]) ).  The parallel
   // linear path captures the dominant linear structure of telemetry
   // conditionals immediately; the ReLU+BN trunk (CTGAN-style) learns the
-  // nonlinear correction and the noise-driven spread.  Builders take the rng
-  // so the same architecture can be cloned for shard replicas; the master
-  // consumes init_rng in the exact pre-sharding order.
+  // nonlinear correction and the noise-driven spread.
   const auto make_generator = [&](common::Rng& rng) {
     auto net = std::make_unique<nn::Sequential>();
     const std::size_t in = inv_dim_ + noise_dim_;
@@ -177,7 +174,6 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   // Training scratch, local to this fit (DESIGN.md §7): the workspace and the
   // mini-batch buffers keep their capacity from step to step, so a
   // steady-state step allocates nothing, and all of it is freed on return.
-  // Shard replicas extend the same struct with their network clones.
   struct StepScratch {
     nn::Workspace ws;
     la::Matrix inv;
@@ -211,6 +207,29 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
       la::copy_into(b.y, dv.col_block(inv_dim_ + var_dim_, label_dim));
     }
     return b.d_in;
+  };
+
+  // The generator input of one step half: marginal-preserving corruption of
+  // the invariant block, then noise, both from rng_ in the order the steps
+  // consume them.
+  const auto draw_generator_input = [&] {
+    permute_corrupt_into(b.inv, options_.input_corruption_p, rng_, b.corrupt);
+    sample_noise_into(b.inv.rows(), b.noise);
+    la::hcat_into(b.corrupt, b.noise, b.g_in);
+  };
+
+  // A D-step training forward of the discriminator during which the
+  // calling thread draws the next generator input before claiming its share
+  // of the first row region (nn::Pass::caller_task): the draws are serial,
+  // the rows are not.
+  const auto discriminator_forward_drawing =
+      [&](const la::Matrix& d_in) -> const la::Matrix& {
+    nn::Pass pass(d_in.rows());
+    pass.caller_task(draw_generator_input);
+    const la::Matrix& prob =
+        discriminator_->stage_forward(d_in, /*training=*/true, b.ws, pass);
+    pass.finish();
+    return prob;
   };
 
   // Backward pass whose returned dX is discarded (every pass but the G-step
@@ -259,82 +278,6 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
       "training.epoch_ms", obs::HdrOptions{},
       "reconstructor training epoch wall time (ms), all model kinds");
 
-  // Deterministic data-parallel sharding (nn/sharded.hpp).  Each replica is
-  // an architecture clone with its own step scratch and dropout stream;
-  // parameter values are broadcast from the master before every shard pass
-  // (version-gated) and shard gradients fold back through a fixed pairwise
-  // tree, so serial and threaded shard execution are bitwise identical.
-  // train_shards == 1 (the default) never builds replicas and runs the exact
-  // pre-sharding trajectory.
-  const std::vector<nn::Parameter*> g_params = generator_->parameters();
-  const std::vector<nn::Parameter*> d_params = discriminator_->parameters();
-  struct GanReplica : StepScratch {
-    std::unique_ptr<nn::Sequential> gen;
-    std::unique_ptr<nn::Sequential> dis;
-    std::vector<nn::Parameter*> g_params;
-    std::vector<nn::Parameter*> d_params;
-    double d_loss = 0.0;
-    double g_adv = 0.0;
-    double g_recon = 0.0;
-  };
-  const std::size_t max_shards =
-      nn::resolve_shard_count(options_.train_shards, batch);
-  std::vector<std::unique_ptr<GanReplica>> replicas;
-  std::vector<std::vector<nn::Parameter*>> all_g_lists;
-  std::vector<std::vector<nn::Parameter*>> all_d_lists;
-  nn::GhostBatchNormSync g_bn_sync;
-  if (max_shards > 1) {
-    replicas.reserve(max_shards);
-    for (std::size_t r = 0; r < max_shards; ++r) {
-      // The replica rng seeds throwaway initial weights (broadcast always
-      // overwrites them) and, importantly, a per-replica dropout stream.
-      common::Rng rep_rng = init_rng.split(0xD15C0ULL + r);
-      auto rep = std::make_unique<GanReplica>();
-      rep->gen = make_generator(rep_rng);
-      rep->dis = make_discriminator(rep_rng);
-      rep->g_params = rep->gen->parameters();
-      rep->d_params = rep->dis->parameters();
-      replicas.push_back(std::move(rep));
-    }
-    std::vector<nn::Layer*> replica_gens;
-    for (const auto& rep : replicas) {
-      replica_gens.push_back(rep->gen.get());
-      all_g_lists.push_back(rep->g_params);
-      all_d_lists.push_back(rep->d_params);
-    }
-    g_bn_sync.bind(*generator_, replica_gens);
-  }
-  std::vector<nn::ShardRange> ranges;
-  // Assembles a replica's discriminator input from row blocks of the shared
-  // batch buffers plus the shard-local variant block.
-  const auto build_rep_d_input =
-      [&](GanReplica& rep, std::size_t row0, std::size_t mr,
-          la::ConstMatrixView var_block) -> la::Matrix& {
-    rep.d_in.resize(mr, inv_dim_ + var_dim_ + label_dim);
-    la::MatrixView dv(rep.d_in);
-    la::copy_into(la::ConstMatrixView(b.inv).row_block(row0, mr),
-                  dv.col_block(0, inv_dim_));
-    la::copy_into(var_block, dv.col_block(inv_dim_, var_dim_));
-    if (options_.conditional) {
-      la::copy_into(la::ConstMatrixView(b.y).row_block(row0, mr),
-                    dv.col_block(inv_dim_ + var_dim_, label_dim));
-    }
-    return rep.d_in;
-  };
-  const auto reduce_active =
-      [](const std::vector<nn::Parameter*>& master,
-         const std::vector<std::vector<nn::Parameter*>>& all,
-         std::size_t shards) {
-        if (shards == all.size()) {
-          nn::reduce_shard_gradients(master, all);
-        } else {  // tail batch resolved to fewer shards
-          const std::vector<std::vector<nn::Parameter*>> active(
-              all.begin(),
-              all.begin() + static_cast<std::ptrdiff_t>(shards));
-          nn::reduce_shard_gradients(master, active);
-        }
-      };
-
   const auto run_attempt = [&] {
     const bool warm_attempt = warm_started_ && sentinel.health().retries == 0;
     if (sentinel.health().retries > 0) {
@@ -371,196 +314,69 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
         la::select_rows_into(x_var, rows, b.var);
         if (options_.conditional) la::select_rows_into(y_onehot, rows, b.y);
 
-        const std::size_t shards =
-            replicas.empty()
-                ? 1
-                : std::min(nn::resolve_shard_count(options_.train_shards, m),
-                           replicas.size());
-        if (shards <= 1) {
-          b.ones.assign(m, 1.0);
-          b.zeros.assign(m, 0.0);
+        b.ones.assign(m, 1.0);
+        b.zeros.assign(m, 0.0);
 
-          // ---- Discriminator step (eq. 8) ----
-          d_opt.zero_grad();
-          {
-            const la::Matrix& real_prob = discriminator_->forward(
-                build_d_input(b.var), /*training=*/true, b.ws);
-            const double real_loss =
-                nn::bce_on_probs_into(real_prob, b.ones, b.loss_grad);
-            backward_params_only(*discriminator_, b.loss_grad, b.ws);
+        // ---- Discriminator step (eq. 8) ----
+        // The step's two generator inputs are drawn on the calling thread
+        // while the pool carries the discriminator's rows: the D-step's
+        // during the real pass, the G-step's during the fake pass (the
+        // D-step's generator input is spent by then: its backward never
+        // runs, so nothing reads it again).
+        d_opt.zero_grad();
+        {
+          const la::Matrix& real_prob =
+              discriminator_forward_drawing(build_d_input(b.var));
+          const double real_loss =
+              nn::bce_on_probs_into(real_prob, b.ones, b.loss_grad);
+          backward_params_only(*discriminator_, b.loss_grad, b.ws);
 
-            permute_corrupt_into(b.inv, options_.input_corruption_p, rng_,
-                                 b.corrupt);
-            sample_noise_into(m, b.noise);
-            la::hcat_into(b.corrupt, b.noise, b.g_in);
-            const la::Matrix& fake =
-                generator_->forward(b.g_in, /*training=*/true, b.ws);
-            const la::Matrix& fake_prob = discriminator_->forward(
-                build_d_input(fake), /*training=*/true, b.ws);
-            const double fake_loss =
-                nn::bce_on_probs_into(fake_prob, b.zeros, b.loss_grad);
-            backward_params_only(*discriminator_, b.loss_grad, b.ws);
-            d_opt.step();
-            stats.d_loss += real_loss + fake_loss;
-          }
-
-          // ---- Generator step (eq. 9, non-saturating) ----
-          g_opt.zero_grad();
-          // With the skip active, D's weight gradients are never touched
-          // here; otherwise they accumulate and are discarded by zeroing.
-          if (!options_.skip_d_grads_in_g_step) d_opt.zero_grad();
-          {
-            permute_corrupt_into(b.inv, options_.input_corruption_p, rng_,
-                                 b.corrupt);
-            sample_noise_into(m, b.noise);
-            la::hcat_into(b.corrupt, b.noise, b.g_in);
-            const la::Matrix& fake =
-                generator_->forward(b.g_in, /*training=*/true, b.ws);
-            const la::Matrix& fake_prob = discriminator_->forward(
-                build_d_input(fake), /*training=*/true, b.ws);
-            const double adv_loss =
-                nn::bce_on_probs_into(fake_prob, b.ones, b.loss_grad);
-            // Only dX of the discriminator is consumed below; its dW/db are
-            // skipped when the option allows (identical dX either way).
-            b.ws.set_param_grads_enabled(!options_.skip_d_grads_in_g_step);
-            const la::Matrix& grad_d_input =
-                discriminator_->backward(b.loss_grad, b.ws);
-            b.ws.set_param_grads_enabled(true);
-            // Slice the gradient w.r.t. the generated block out of the
-            // discriminator's input gradient.
-            b.grad_fake.resize(m, var_dim_);
-            la::copy_into(la::ConstMatrixView(grad_d_input)
-                              .col_block(inv_dim_, var_dim_),
-                          b.grad_fake);
-            double recon_value = 0.0;
-            if (options_.recon_weight > 0.0) {
-              recon_value = nn::mse_into(fake, b.var, b.recon_grad);
-              b.recon_grad *= options_.recon_weight;
-              b.grad_fake += b.recon_grad;
-            }
-            backward_params_only(*generator_, b.grad_fake, b.ws);
-            g_opt.step();
-            if (!options_.skip_d_grads_in_g_step) d_opt.zero_grad();
-            stats.g_adv_loss += adv_loss;
-            stats.g_recon_loss += recon_value;
-          }
-        } else {
-          // ---- Sharded D+G step pair ----
-          // All randomness the shards consume (corruption, noise, shard
-          // ranges) is pregenerated on the master stream; each shard then
-          // touches only its own replica, so pool execution is bitwise
-          // identical to a serial sweep.  Per-shard losses and loss
-          // gradients are weighted by rows_r / rows so the reduced gradient
-          // equals the full-batch mean-loss gradient.
-          ranges.clear();
-          for (std::size_t r = 0; r < shards; ++r) {
-            ranges.push_back(nn::shard_range(m, shards, r));
-          }
-          const double total_m = static_cast<double>(m);
-
-          // ---- Discriminator step (eq. 8) ----
-          d_opt.zero_grad();
-          permute_corrupt_into(b.inv, options_.input_corruption_p, rng_,
-                               b.corrupt);
-          sample_noise_into(m, b.noise);
-          la::hcat_into(b.corrupt, b.noise, b.g_in);
-          nn::run_sharded(shards, options_.shard_threads, [&](std::size_t r) {
-            GanReplica& rep = *replicas[r];
-            const std::size_t row0 = ranges[r].first;
-            const std::size_t mr = ranges[r].second - ranges[r].first;
-            const double w = static_cast<double>(mr) / total_m;
-            nn::broadcast_parameters(g_params, rep.g_params);
-            nn::broadcast_parameters(d_params, rep.d_params);
-            for (nn::Parameter* p : rep.d_params) p->grad.fill(0.0);
-            rep.ones.assign(mr, 1.0);
-            rep.zeros.assign(mr, 0.0);
-            const la::Matrix& real_prob = rep.dis->forward(
-                build_rep_d_input(
-                    rep, row0, mr,
-                    la::ConstMatrixView(b.var).row_block(row0, mr)),
-                /*training=*/true, rep.ws);
-            const double real_loss =
-                nn::bce_on_probs_into(real_prob, rep.ones, rep.loss_grad);
-            rep.loss_grad *= w;
-            backward_params_only(*rep.dis, rep.loss_grad, rep.ws);
-            rep.g_in.resize(mr, b.g_in.cols());
-            la::copy_into(la::ConstMatrixView(b.g_in).row_block(row0, mr),
-                          rep.g_in);
-            const la::Matrix& fake =
-                rep.gen->forward(rep.g_in, /*training=*/true, rep.ws);
-            const la::Matrix& fake_prob =
-                rep.dis->forward(build_rep_d_input(rep, row0, mr, fake),
-                                 /*training=*/true, rep.ws);
-            const double fake_loss =
-                nn::bce_on_probs_into(fake_prob, rep.zeros, rep.loss_grad);
-            rep.loss_grad *= w;
-            backward_params_only(*rep.dis, rep.loss_grad, rep.ws);
-            rep.d_loss = w * (real_loss + fake_loss);
-          });
-          g_bn_sync.update(ranges);  // G ran a training forward per shard
-          reduce_active(d_params, all_d_lists, shards);
+          const la::Matrix& fake =
+              generator_->forward(b.g_in, /*training=*/true, b.ws);
+          const la::Matrix& fake_prob =
+              discriminator_forward_drawing(build_d_input(fake));
+          const double fake_loss =
+              nn::bce_on_probs_into(fake_prob, b.zeros, b.loss_grad);
+          backward_params_only(*discriminator_, b.loss_grad, b.ws);
           d_opt.step();
-          for (std::size_t r = 0; r < shards; ++r) {
-            stats.d_loss += replicas[r]->d_loss;
-          }
+          stats.d_loss += real_loss + fake_loss;
+        }
 
-          // ---- Generator step (eq. 9, non-saturating) ----
-          g_opt.zero_grad();
-          permute_corrupt_into(b.inv, options_.input_corruption_p, rng_,
-                               b.corrupt);
-          sample_noise_into(m, b.noise);
-          la::hcat_into(b.corrupt, b.noise, b.g_in);
-          nn::run_sharded(shards, options_.shard_threads, [&](std::size_t r) {
-            GanReplica& rep = *replicas[r];
-            const std::size_t row0 = ranges[r].first;
-            const std::size_t mr = ranges[r].second - ranges[r].first;
-            const double w = static_cast<double>(mr) / total_m;
-            nn::broadcast_parameters(g_params, rep.g_params);
-            nn::broadcast_parameters(d_params, rep.d_params);
-            for (nn::Parameter* p : rep.g_params) p->grad.fill(0.0);
-            rep.ones.assign(mr, 1.0);
-            rep.g_in.resize(mr, b.g_in.cols());
-            la::copy_into(la::ConstMatrixView(b.g_in).row_block(row0, mr),
-                          rep.g_in);
-            const la::Matrix& fake =
-                rep.gen->forward(rep.g_in, /*training=*/true, rep.ws);
-            const la::Matrix& fake_prob =
-                rep.dis->forward(build_rep_d_input(rep, row0, mr, fake),
-                                 /*training=*/true, rep.ws);
-            const double adv_loss =
-                nn::bce_on_probs_into(fake_prob, rep.ones, rep.loss_grad);
-            rep.loss_grad *= w;
-            // With the skip active the replica D's weight gradients are not
-            // even computed; otherwise they absorb (and discard) the G-step
-            // backward -- the next D step zeroes them before use either way.
-            rep.ws.set_param_grads_enabled(!options_.skip_d_grads_in_g_step);
-            const la::Matrix& grad_d_input =
-                rep.dis->backward(rep.loss_grad, rep.ws);
-            rep.ws.set_param_grads_enabled(true);
-            rep.grad_fake.resize(mr, var_dim_);
-            la::copy_into(la::ConstMatrixView(grad_d_input)
-                              .col_block(inv_dim_, var_dim_),
-                          rep.grad_fake);
-            double recon_value = 0.0;
-            if (options_.recon_weight > 0.0) {
-              rep.var.resize(mr, var_dim_);
-              la::copy_into(la::ConstMatrixView(b.var).row_block(row0, mr),
-                            rep.var);
-              recon_value = nn::mse_into(fake, rep.var, rep.recon_grad);
-              rep.recon_grad *= options_.recon_weight * w;
-              rep.grad_fake += rep.recon_grad;
-            }
-            backward_params_only(*rep.gen, rep.grad_fake, rep.ws);
-            rep.g_adv = w * adv_loss;
-            rep.g_recon = w * recon_value;
-          });
-          g_bn_sync.update(ranges);
-          reduce_active(g_params, all_g_lists, shards);
-          g_opt.step();
-          for (std::size_t r = 0; r < shards; ++r) {
-            stats.g_adv_loss += replicas[r]->g_adv;
-            stats.g_recon_loss += replicas[r]->g_recon;
+        // ---- Generator step (eq. 9, non-saturating) ----
+        g_opt.zero_grad();
+        // With the skip active, D's weight gradients are never touched
+        // here; otherwise they accumulate and are discarded by zeroing.
+        if (!options_.skip_d_grads_in_g_step) d_opt.zero_grad();
+        {
+          const la::Matrix& fake =
+              generator_->forward(b.g_in, /*training=*/true, b.ws);
+          const la::Matrix& fake_prob = discriminator_->forward(
+              build_d_input(fake), /*training=*/true, b.ws);
+          const double adv_loss =
+              nn::bce_on_probs_into(fake_prob, b.ones, b.loss_grad);
+          // Only dX of the discriminator is consumed below; its dW/db are
+          // skipped when the option allows (identical dX either way).
+          b.ws.set_param_grads_enabled(!options_.skip_d_grads_in_g_step);
+          const la::Matrix& grad_d_input =
+              discriminator_->backward(b.loss_grad, b.ws);
+          b.ws.set_param_grads_enabled(true);
+          // Slice the gradient w.r.t. the generated block out of the
+          // discriminator's input gradient.
+          b.grad_fake.resize(m, var_dim_);
+          la::copy_into(la::ConstMatrixView(grad_d_input)
+                            .col_block(inv_dim_, var_dim_),
+                        b.grad_fake);
+          double recon_value = 0.0;
+          if (options_.recon_weight > 0.0) {
+            recon_value = nn::mse_into(fake, b.var, b.recon_grad);
+            b.recon_grad *= options_.recon_weight;
+            b.grad_fake += b.recon_grad;
           }
+          backward_params_only(*generator_, b.grad_fake, b.ws);
+          g_opt.step();
+          if (!options_.skip_d_grads_in_g_step) d_opt.zero_grad();
+          stats.g_adv_loss += adv_loss;
+          stats.g_recon_loss += recon_value;
         }
         ++step_count;
         ++batches;

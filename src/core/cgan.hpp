@@ -52,14 +52,6 @@ struct CganOptions {
   DivergenceMonitorOptions divergence;
   /// Epochs between healthy-parameter snapshots (rollback granularity).
   std::size_t snapshot_every = 10;
-  /// Data-parallel minibatch shards (nn/sharded.hpp): 1 = single shard
-  /// (preserves the exact pre-sharding numeric trajectory), 0 = auto (one
-  /// shard per region participant, each keeping >= 16 rows), N = at most N
-  /// shards.
-  std::size_t train_shards = 1;
-  /// Execute shards on the global ThreadPool; serial execution of the same
-  /// shard count is bitwise identical (deterministic tree reduction).
-  bool shard_threads = true;
   /// Skip accumulating discriminator weight gradients during the generator
   /// step: only the gradient w.r.t. D's *input* is consumed there, and the
   /// weight gradients were discarded (zeroed before the next D step) anyway.

@@ -50,16 +50,18 @@ namespace fsda::la {
 /// 64x64x64 ~20 us against ~16 us.
 inline constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 18;
 
-/// Parameter elements from which nn::Adam::step sweeps all its parameters
-/// in one pool region instead of on the calling thread.  Same host, warm
+/// Parameter elements from which nn::Adam::step (and an optimizer's
+/// zero_grad) sweeps all its parameters in one pool region instead of on
+/// the calling thread.  Same host, warm
 /// pool, fused sweep inline vs split four ways: 2048 elements ~7.2 us vs
 /// ~7.8 us, 4096 ~14.7 vs ~12.5, 8192 ~29.6 vs ~17.5.
 inline constexpr std::size_t kParallelAdamElements = std::size_t{1} << 13;
 
-/// Elements from which nn::Tanh::forward splits its rows across the pool
-/// (at least 8 rows).  Same host: 16x34 ~7-11 us inline vs ~8-10 split,
-/// 16x64 ~20 vs ~14, 96x34 ~89 vs ~25.
-inline constexpr std::size_t kParallelTanhElements = std::size_t{1} << 10;
+/// Rows per block of an nn::Pass (nn/layer.hpp): a pass over m rows splits
+/// a stretch of a network into ceil(m / kParallelPassRows) row blocks that
+/// the participants of one region claim in turn, and runs inline when that
+/// is one block.
+inline constexpr std::size_t kParallelPassRows = 12;
 
 /// Instruction-set choice for gemm_packed.  Auto resolves to Avx2 when the
 /// CPU supports AVX2+FMA, Scalar otherwise.

@@ -22,6 +22,7 @@
 #endif
 
 #include <algorithm>
+#include <cmath>
 
 namespace fsda::la::detail {
 
@@ -170,15 +171,14 @@ void gemm_packed_avx2(ConstMatrixView a, const PackedB& b, MatrixView out,
 
 namespace {
 
-// Finishes one dw row from column `j0` on: a 4-wide vector tile, then a
-// scalar tail.  Shared by the remainder paths of gemm_grad_weights_avx2.
+// Finishes columns [j0, j1) of one dw row, j1 - j0 a multiple of four, in
+// 4-wide vector tiles.  Shared by the remainder paths of
+// gemm_grad_weights_avx2.
 void grad_weights_row_tail(ConstMatrixView a, ConstMatrixView dy,
                            double* __restrict out, std::size_t k,
-                           std::size_t j0, bool accumulate) {
+                           std::size_t j0, std::size_t j1, bool accumulate) {
   const std::size_t m = a.rows();
-  const std::size_t n = dy.cols();
-  std::size_t j = j0;
-  for (; j + 4 <= n; j += 4) {
+  for (std::size_t j = j0; j + 4 <= j1; j += 4) {
     __m256d acc =
         accumulate ? _mm256_loadu_pd(out + j) : _mm256_setzero_pd();
     for (std::size_t i = 0; i < m; ++i) {
@@ -187,12 +187,61 @@ void grad_weights_row_tail(ConstMatrixView a, ConstMatrixView dy,
     }
     _mm256_storeu_pd(out + j, acc);
   }
-  for (; j < n; ++j) {
-    double acc = accumulate ? out[j] : 0.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      acc += a.row_data(i)[k] * dy.row_data(i)[j];
+}
+
+// Column j of dw, for the last n % 4 columns: too narrow for a column tile
+// (the discriminator's 96->1 head has one), so the vectors run down dW rows
+// instead -- a's row i is contiguous in k and dy(i, j) is one broadcast.
+// Sixteen rows per pass keep four independent chains in flight.  Per
+// element the chain is the same i-ascending fused multiply-add sequence as
+// the column tiles, so the split of dw between the two paths never shows.
+void grad_weights_narrow_column(ConstMatrixView a, ConstMatrixView dy,
+                                MatrixView dw, std::size_t j,
+                                bool accumulate) {
+  const std::size_t m = a.rows();
+  const std::size_t kk = a.cols();
+  alignas(32) double acc[16];
+  std::size_t k = 0;
+  for (; k + 16 <= kk; k += 16) {
+    for (std::size_t t = 0; t < 16; ++t) {
+      acc[t] = accumulate ? dw.row_data(k + t)[j] : 0.0;
     }
-    out[j] = acc;
+    __m256d c0 = _mm256_load_pd(acc);
+    __m256d c1 = _mm256_load_pd(acc + 4);
+    __m256d c2 = _mm256_load_pd(acc + 8);
+    __m256d c3 = _mm256_load_pd(acc + 12);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double* __restrict arow = a.row_data(i) + k;
+      const __m256d g = _mm256_set1_pd(dy.row_data(i)[j]);
+      c0 = _mm256_fmadd_pd(_mm256_loadu_pd(arow), g, c0);
+      c1 = _mm256_fmadd_pd(_mm256_loadu_pd(arow + 4), g, c1);
+      c2 = _mm256_fmadd_pd(_mm256_loadu_pd(arow + 8), g, c2);
+      c3 = _mm256_fmadd_pd(_mm256_loadu_pd(arow + 12), g, c3);
+    }
+    _mm256_store_pd(acc, c0);
+    _mm256_store_pd(acc + 4, c1);
+    _mm256_store_pd(acc + 8, c2);
+    _mm256_store_pd(acc + 12, c3);
+    for (std::size_t t = 0; t < 16; ++t) dw.row_data(k + t)[j] = acc[t];
+  }
+  for (; k + 4 <= kk; k += 4) {
+    for (std::size_t t = 0; t < 4; ++t) {
+      acc[t] = accumulate ? dw.row_data(k + t)[j] : 0.0;
+    }
+    __m256d c0 = _mm256_load_pd(acc);
+    for (std::size_t i = 0; i < m; ++i) {
+      const __m256d g = _mm256_set1_pd(dy.row_data(i)[j]);
+      c0 = _mm256_fmadd_pd(_mm256_loadu_pd(a.row_data(i) + k), g, c0);
+    }
+    _mm256_store_pd(acc, c0);
+    for (std::size_t t = 0; t < 4; ++t) dw.row_data(k + t)[j] = acc[t];
+  }
+  for (; k < kk; ++k) {
+    double c = accumulate ? dw.row_data(k)[j] : 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      c = std::fma(a.row_data(i)[k], dy.row_data(i)[j], c);
+    }
+    dw.row_data(k)[j] = c;
   }
 }
 
@@ -212,6 +261,9 @@ void gemm_grad_weights_avx2(ConstMatrixView a, ConstMatrixView dy,
   // also space each accumulator's reuse past the FMA latency, like the
   // forward kernel's 6x8 tile.  Per element the i loop still ascends in a
   // single chain, the same order as the scalar kernel up to FMA rounding.
+  // Columns past the last multiple of four go down dW rows instead
+  // (grad_weights_narrow_column).
+  const std::size_t n4 = n - n % 4;
   std::size_t k = 0;
   for (; k + 6 <= kk; k += 6) {
     double* __restrict out0 = dw.row_data(k);
@@ -277,15 +329,18 @@ void gemm_grad_weights_avx2(ConstMatrixView a, ConstMatrixView dy,
       _mm256_storeu_pd(out5 + j, a5l);
       _mm256_storeu_pd(out5 + j + 4, a5h);
     }
-    grad_weights_row_tail(a, dy, out0, k, j, accumulate);
-    grad_weights_row_tail(a, dy, out1, k + 1, j, accumulate);
-    grad_weights_row_tail(a, dy, out2, k + 2, j, accumulate);
-    grad_weights_row_tail(a, dy, out3, k + 3, j, accumulate);
-    grad_weights_row_tail(a, dy, out4, k + 4, j, accumulate);
-    grad_weights_row_tail(a, dy, out5, k + 5, j, accumulate);
+    grad_weights_row_tail(a, dy, out0, k, j, n4, accumulate);
+    grad_weights_row_tail(a, dy, out1, k + 1, j, n4, accumulate);
+    grad_weights_row_tail(a, dy, out2, k + 2, j, n4, accumulate);
+    grad_weights_row_tail(a, dy, out3, k + 3, j, n4, accumulate);
+    grad_weights_row_tail(a, dy, out4, k + 4, j, n4, accumulate);
+    grad_weights_row_tail(a, dy, out5, k + 5, j, n4, accumulate);
   }
   for (; k < kk; ++k) {
-    grad_weights_row_tail(a, dy, dw.row_data(k), k, 0, accumulate);
+    grad_weights_row_tail(a, dy, dw.row_data(k), k, 0, n4, accumulate);
+  }
+  for (std::size_t j = n4; j < n; ++j) {
+    grad_weights_narrow_column(a, dy, dw, j, accumulate);
   }
 }
 

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
-#include "la/gemm.hpp"
 #include "la/kernels.hpp"
 #include "la/view.hpp"
 #include "nn/workspace.hpp"
@@ -16,117 +14,164 @@ namespace {
 void check_grad_shape(const la::Matrix& grad, const la::Matrix& ref) {
   FSDA_CHECK(grad.rows() == ref.rows() && grad.cols() == ref.cols());
 }
-}  // namespace
 
-const la::Matrix& ReLU::forward(const la::Matrix& input, bool /*training*/,
-                                Workspace& ws) {
-  cached_input_ = &input;
-  la::Matrix& out = ws.buffer(this, 0, input.rows(), input.cols());
-  la::relu_into(input, out);
-  return out;
+la::ConstMatrixView rows_of(const la::Matrix& m, std::size_t r0,
+                            std::size_t r1) {
+  return la::ConstMatrixView(m).row_block(r0, r1 - r0);
 }
 
-const la::Matrix& ReLU::backward(const la::Matrix& grad_output,
-                                 Workspace& ws) {
+la::MatrixView rows_of(la::Matrix& m, std::size_t r0, std::size_t r1) {
+  return la::MatrixView(m).row_block(r0, r1 - r0);
+}
+
+/// Max-shifted softmax of one row; `o` may alias `in`.
+void softmax_row(const double* in, double* o, std::size_t n) {
+  const double mx = *std::max_element(in, in + n);
+  double total = 0.0;
+  for (std::size_t c = 0; c < n; ++c) {
+    o[c] = std::exp(in[c] - mx);
+    total += o[c];
+  }
+  FSDA_CHECK_MSG(total > 0.0, "softmax row summed to zero");
+  for (std::size_t c = 0; c < n; ++c) o[c] /= total;
+}
+}  // namespace
+
+const la::Matrix& ReLU::stage_forward(const la::Matrix& input,
+                                      bool /*training*/, Workspace& ws,
+                                      Pass& pass) {
+  cached_input_ = &input;
+  out_ = &ws.buffer(this, 0, input.rows(), input.cols());
+  pass.row_stage<ReLU, &ReLU::forward_rows>(this);
+  return *out_;
+}
+
+void ReLU::forward_rows(std::size_t r0, std::size_t r1) {
+  la::relu_into(rows_of(*cached_input_, r0, r1), rows_of(*out_, r0, r1));
+}
+
+const la::Matrix& ReLU::stage_backward(const la::Matrix& grad_output,
+                                       Workspace& ws, Pass& pass) {
   FSDA_CHECK_MSG(cached_input_ != nullptr, "ReLU backward before forward");
   check_grad_shape(grad_output, *cached_input_);
-  la::Matrix& grad =
-      ws.buffer(this, 1, grad_output.rows(), grad_output.cols());
-  la::relu_backward_into(grad_output, *cached_input_, grad);
-  return grad;
+  grad_out_ = &grad_output;
+  grad_in_ = &ws.buffer(this, 1, grad_output.rows(), grad_output.cols());
+  pass.row_stage<ReLU, &ReLU::backward_rows>(this);
+  return *grad_in_;
+}
+
+void ReLU::backward_rows(std::size_t r0, std::size_t r1) {
+  la::relu_backward_into(rows_of(*grad_out_, r0, r1),
+                         rows_of(*cached_input_, r0, r1),
+                         rows_of(*grad_in_, r0, r1));
 }
 
 LeakyReLU::LeakyReLU(double alpha) : alpha_(alpha) {
   FSDA_CHECK_MSG(alpha >= 0.0 && alpha < 1.0, "LeakyReLU alpha " << alpha);
 }
 
-const la::Matrix& LeakyReLU::forward(const la::Matrix& input,
-                                     bool /*training*/, Workspace& ws) {
+const la::Matrix& LeakyReLU::stage_forward(const la::Matrix& input,
+                                           bool /*training*/, Workspace& ws,
+                                           Pass& pass) {
   cached_input_ = &input;
-  la::Matrix& out = ws.buffer(this, 0, input.rows(), input.cols());
-  la::leaky_relu_into(input, out, alpha_);
-  return out;
+  out_ = &ws.buffer(this, 0, input.rows(), input.cols());
+  pass.row_stage<LeakyReLU, &LeakyReLU::forward_rows>(this);
+  return *out_;
 }
 
-const la::Matrix& LeakyReLU::backward(const la::Matrix& grad_output,
-                                      Workspace& ws) {
+void LeakyReLU::forward_rows(std::size_t r0, std::size_t r1) {
+  la::leaky_relu_into(rows_of(*cached_input_, r0, r1), rows_of(*out_, r0, r1),
+                      alpha_);
+}
+
+const la::Matrix& LeakyReLU::stage_backward(const la::Matrix& grad_output,
+                                            Workspace& ws, Pass& pass) {
   FSDA_CHECK_MSG(cached_input_ != nullptr,
                  "LeakyReLU backward before forward");
   check_grad_shape(grad_output, *cached_input_);
-  la::Matrix& grad =
-      ws.buffer(this, 1, grad_output.rows(), grad_output.cols());
-  la::leaky_relu_backward_into(grad_output, *cached_input_, grad, alpha_);
-  return grad;
+  grad_out_ = &grad_output;
+  grad_in_ = &ws.buffer(this, 1, grad_output.rows(), grad_output.cols());
+  pass.row_stage<LeakyReLU, &LeakyReLU::backward_rows>(this);
+  return *grad_in_;
 }
 
-const la::Matrix& Tanh::forward(const la::Matrix& input, bool /*training*/,
-                                Workspace& ws) {
-  la::Matrix& out = ws.buffer(this, 0, input.rows(), input.cols());
-  // std::tanh dominates this layer; split rows across the pool above the
-  // threshold (every element is computed by the same call either way).
-  const auto rows = [&](std::size_t r0, std::size_t r1) {
-    la::apply_into(la::ConstMatrixView(input).row_block(r0, r1 - r0),
-                   la::MatrixView(out).row_block(r0, r1 - r0),
-                   [](double x) { return std::tanh(x); });
-  };
-  if (input.size() >= la::kParallelTanhElements && input.rows() >= 8) {
-    common::parallel_for_chunked(input.rows(), rows);
-  } else {
-    rows(0, input.rows());
-  }
-  cached_output_ = &out;
-  return out;
+void LeakyReLU::backward_rows(std::size_t r0, std::size_t r1) {
+  la::leaky_relu_backward_into(rows_of(*grad_out_, r0, r1),
+                               rows_of(*cached_input_, r0, r1),
+                               rows_of(*grad_in_, r0, r1), alpha_);
 }
 
-const la::Matrix& Tanh::backward(const la::Matrix& grad_output,
-                                 Workspace& ws) {
+const la::Matrix& Tanh::stage_forward(const la::Matrix& input,
+                                      bool /*training*/, Workspace& ws,
+                                      Pass& pass) {
+  cached_input_ = &input;
+  cached_output_ = &ws.buffer(this, 0, input.rows(), input.cols());
+  pass.row_stage<Tanh, &Tanh::forward_rows>(this);
+  return *cached_output_;
+}
+
+void Tanh::forward_rows(std::size_t r0, std::size_t r1) {
+  la::apply_into(rows_of(*cached_input_, r0, r1),
+                 rows_of(*cached_output_, r0, r1),
+                 [](double x) { return std::tanh(x); });
+}
+
+const la::Matrix& Tanh::stage_backward(const la::Matrix& grad_output,
+                                       Workspace& ws, Pass& pass) {
   FSDA_CHECK_MSG(cached_output_ != nullptr, "Tanh backward before forward");
   check_grad_shape(grad_output, *cached_output_);
-  la::Matrix& grad =
-      ws.buffer(this, 1, grad_output.rows(), grad_output.cols());
-  la::zip_into(grad_output, *cached_output_, grad,
+  grad_out_ = &grad_output;
+  grad_in_ = &ws.buffer(this, 1, grad_output.rows(), grad_output.cols());
+  pass.row_stage<Tanh, &Tanh::backward_rows>(this);
+  return *grad_in_;
+}
+
+void Tanh::backward_rows(std::size_t r0, std::size_t r1) {
+  la::zip_into(rows_of(*grad_out_, r0, r1), rows_of(*cached_output_, r0, r1),
+               rows_of(*grad_in_, r0, r1),
                [](double g, double y) { return g * (1.0 - y * y); });
-  return grad;
 }
 
-const la::Matrix& Sigmoid::forward(const la::Matrix& input, bool /*training*/,
-                                   Workspace& ws) {
-  la::Matrix& out = ws.buffer(this, 0, input.rows(), input.cols());
-  la::apply_into(input, out, [](double x) {
-    // Split by sign for numerical stability at large |x|.
-    if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
-    const double e = std::exp(x);
-    return e / (1.0 + e);
-  });
-  cached_output_ = &out;
-  return out;
+const la::Matrix& Sigmoid::stage_forward(const la::Matrix& input,
+                                         bool /*training*/, Workspace& ws,
+                                         Pass& pass) {
+  cached_input_ = &input;
+  cached_output_ = &ws.buffer(this, 0, input.rows(), input.cols());
+  pass.row_stage<Sigmoid, &Sigmoid::forward_rows>(this);
+  return *cached_output_;
 }
 
-const la::Matrix& Sigmoid::backward(const la::Matrix& grad_output,
-                                    Workspace& ws) {
+void Sigmoid::forward_rows(std::size_t r0, std::size_t r1) {
+  la::apply_into(rows_of(*cached_input_, r0, r1),
+                 rows_of(*cached_output_, r0, r1), [](double x) {
+                   // Split by sign for numerical stability at large |x|.
+                   if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
+                   const double e = std::exp(x);
+                   return e / (1.0 + e);
+                 });
+}
+
+const la::Matrix& Sigmoid::stage_backward(const la::Matrix& grad_output,
+                                          Workspace& ws, Pass& pass) {
   FSDA_CHECK_MSG(cached_output_ != nullptr,
                  "Sigmoid backward before forward");
   check_grad_shape(grad_output, *cached_output_);
-  la::Matrix& grad =
-      ws.buffer(this, 1, grad_output.rows(), grad_output.cols());
-  la::zip_into(grad_output, *cached_output_, grad,
+  grad_out_ = &grad_output;
+  grad_in_ = &ws.buffer(this, 1, grad_output.rows(), grad_output.cols());
+  pass.row_stage<Sigmoid, &Sigmoid::backward_rows>(this);
+  return *grad_in_;
+}
+
+void Sigmoid::backward_rows(std::size_t r0, std::size_t r1) {
+  la::zip_into(rows_of(*grad_out_, r0, r1), rows_of(*cached_output_, r0, r1),
+               rows_of(*grad_in_, r0, r1),
                [](double g, double y) { return g * y * (1.0 - y); });
-  return grad;
 }
 
 void softmax_rows_into(const la::Matrix& logits, la::Matrix& out) {
   out.resize(logits.rows(), logits.cols());
   for (std::size_t r = 0; r < logits.rows(); ++r) {
-    auto in = logits.row(r);
-    auto o = out.row(r);
-    const double mx = *std::max_element(in.begin(), in.end());
-    double total = 0.0;
-    for (std::size_t c = 0; c < in.size(); ++c) {
-      o[c] = std::exp(in[c] - mx);
-      total += o[c];
-    }
-    FSDA_CHECK_MSG(total > 0.0, "softmax row summed to zero");
-    for (auto& v : o) v /= total;
+    softmax_row(logits.row(r).data(), out.row(r).data(), logits.cols());
   }
 }
 
@@ -136,31 +181,43 @@ la::Matrix softmax_rows(const la::Matrix& logits) {
   return out;
 }
 
-const la::Matrix& Softmax::forward(const la::Matrix& input, bool /*training*/,
-                                   Workspace& ws) {
-  la::Matrix& out = ws.buffer(this, 0, input.rows(), input.cols());
-  softmax_rows_into(input, out);
-  cached_output_ = &out;
-  return out;
+const la::Matrix& Softmax::stage_forward(const la::Matrix& input,
+                                         bool /*training*/, Workspace& ws,
+                                         Pass& pass) {
+  cached_input_ = &input;
+  cached_output_ = &ws.buffer(this, 0, input.rows(), input.cols());
+  pass.row_stage<Softmax, &Softmax::forward_rows>(this);
+  return *cached_output_;
 }
 
-const la::Matrix& Softmax::backward(const la::Matrix& grad_output,
-                                    Workspace& ws) {
+void Softmax::forward_rows(std::size_t r0, std::size_t r1) {
+  for (std::size_t r = r0; r < r1; ++r) {
+    softmax_row(cached_input_->row(r).data(), cached_output_->row(r).data(),
+                cached_input_->cols());
+  }
+}
+
+const la::Matrix& Softmax::stage_backward(const la::Matrix& grad_output,
+                                          Workspace& ws, Pass& pass) {
   FSDA_CHECK_MSG(cached_output_ != nullptr,
                  "Softmax backward before forward");
   check_grad_shape(grad_output, *cached_output_);
+  grad_out_ = &grad_output;
+  grad_in_ = &ws.buffer(this, 1, grad_output.rows(), grad_output.cols());
+  pass.row_stage<Softmax, &Softmax::backward_rows>(this);
+  return *grad_in_;
+}
+
+void Softmax::backward_rows(std::size_t r0, std::size_t r1) {
   // dL/dx_i = s_i * (g_i - sum_j g_j s_j)
-  la::Matrix& grad =
-      ws.buffer(this, 1, grad_output.rows(), grad_output.cols());
-  for (std::size_t r = 0; r < grad.rows(); ++r) {
+  for (std::size_t r = r0; r < r1; ++r) {
     auto s = cached_output_->row(r);
-    auto g = grad_output.row(r);
+    auto g = grad_out_->row(r);
     double dot = 0.0;
     for (std::size_t c = 0; c < s.size(); ++c) dot += g[c] * s[c];
-    auto out = grad.row(r);
+    auto out = grad_in_->row(r);
     for (std::size_t c = 0; c < s.size(); ++c) out[c] = s[c] * (g[c] - dot);
   }
-  return grad;
 }
 
 }  // namespace fsda::nn

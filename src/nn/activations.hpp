@@ -12,64 +12,80 @@ namespace fsda::nn {
 /// max(0, x).
 class ReLU : public Layer {
  public:
-  using Layer::forward;
-  using Layer::backward;
-  const la::Matrix& forward(const la::Matrix& input, bool training,
-                            Workspace& ws) override;
-  const la::Matrix& backward(const la::Matrix& grad_output,
-                             Workspace& ws) override;
+  const la::Matrix& stage_forward(const la::Matrix& input, bool training,
+                                  Workspace& ws, Pass& pass) override;
+  const la::Matrix& stage_backward(const la::Matrix& grad_output,
+                                   Workspace& ws, Pass& pass) override;
   [[nodiscard]] std::string name() const override { return "ReLU"; }
 
  private:
+  void forward_rows(std::size_t r0, std::size_t r1);
+  void backward_rows(std::size_t r0, std::size_t r1);
+
   const la::Matrix* cached_input_ = nullptr;
+  la::Matrix* out_ = nullptr;
+  const la::Matrix* grad_out_ = nullptr;
+  la::Matrix* grad_in_ = nullptr;
 };
 
 /// x for x >= 0, alpha * x otherwise.
 class LeakyReLU : public Layer {
  public:
   explicit LeakyReLU(double alpha = 0.2);
-  using Layer::forward;
-  using Layer::backward;
-  const la::Matrix& forward(const la::Matrix& input, bool training,
-                            Workspace& ws) override;
-  const la::Matrix& backward(const la::Matrix& grad_output,
-                             Workspace& ws) override;
+  const la::Matrix& stage_forward(const la::Matrix& input, bool training,
+                                  Workspace& ws, Pass& pass) override;
+  const la::Matrix& stage_backward(const la::Matrix& grad_output,
+                                   Workspace& ws, Pass& pass) override;
   [[nodiscard]] std::string name() const override { return "LeakyReLU"; }
   [[nodiscard]] double alpha() const { return alpha_; }
 
  private:
+  void forward_rows(std::size_t r0, std::size_t r1);
+  void backward_rows(std::size_t r0, std::size_t r1);
+
   double alpha_;
   const la::Matrix* cached_input_ = nullptr;
+  la::Matrix* out_ = nullptr;
+  const la::Matrix* grad_out_ = nullptr;
+  la::Matrix* grad_in_ = nullptr;
 };
 
 /// tanh(x).
 class Tanh : public Layer {
  public:
-  using Layer::forward;
-  using Layer::backward;
-  const la::Matrix& forward(const la::Matrix& input, bool training,
-                            Workspace& ws) override;
-  const la::Matrix& backward(const la::Matrix& grad_output,
-                             Workspace& ws) override;
+  const la::Matrix& stage_forward(const la::Matrix& input, bool training,
+                                  Workspace& ws, Pass& pass) override;
+  const la::Matrix& stage_backward(const la::Matrix& grad_output,
+                                   Workspace& ws, Pass& pass) override;
   [[nodiscard]] std::string name() const override { return "Tanh"; }
 
  private:
-  const la::Matrix* cached_output_ = nullptr;
+  void forward_rows(std::size_t r0, std::size_t r1);
+  void backward_rows(std::size_t r0, std::size_t r1);
+
+  const la::Matrix* cached_input_ = nullptr;
+  la::Matrix* cached_output_ = nullptr;
+  const la::Matrix* grad_out_ = nullptr;
+  la::Matrix* grad_in_ = nullptr;
 };
 
 /// 1 / (1 + exp(-x)).
 class Sigmoid : public Layer {
  public:
-  using Layer::forward;
-  using Layer::backward;
-  const la::Matrix& forward(const la::Matrix& input, bool training,
-                            Workspace& ws) override;
-  const la::Matrix& backward(const la::Matrix& grad_output,
-                             Workspace& ws) override;
+  const la::Matrix& stage_forward(const la::Matrix& input, bool training,
+                                  Workspace& ws, Pass& pass) override;
+  const la::Matrix& stage_backward(const la::Matrix& grad_output,
+                                   Workspace& ws, Pass& pass) override;
   [[nodiscard]] std::string name() const override { return "Sigmoid"; }
 
  private:
-  const la::Matrix* cached_output_ = nullptr;
+  void forward_rows(std::size_t r0, std::size_t r1);
+  void backward_rows(std::size_t r0, std::size_t r1);
+
+  const la::Matrix* cached_input_ = nullptr;
+  la::Matrix* cached_output_ = nullptr;
+  const la::Matrix* grad_out_ = nullptr;
+  la::Matrix* grad_in_ = nullptr;
 };
 
 /// Row-wise softmax (numerically stabilized).  backward() assumes the
@@ -77,16 +93,20 @@ class Sigmoid : public Layer {
 /// the full softmax Jacobian.
 class Softmax : public Layer {
  public:
-  using Layer::forward;
-  using Layer::backward;
-  const la::Matrix& forward(const la::Matrix& input, bool training,
-                            Workspace& ws) override;
-  const la::Matrix& backward(const la::Matrix& grad_output,
-                             Workspace& ws) override;
+  const la::Matrix& stage_forward(const la::Matrix& input, bool training,
+                                  Workspace& ws, Pass& pass) override;
+  const la::Matrix& stage_backward(const la::Matrix& grad_output,
+                                   Workspace& ws, Pass& pass) override;
   [[nodiscard]] std::string name() const override { return "Softmax"; }
 
  private:
-  const la::Matrix* cached_output_ = nullptr;
+  void forward_rows(std::size_t r0, std::size_t r1);
+  void backward_rows(std::size_t r0, std::size_t r1);
+
+  const la::Matrix* cached_input_ = nullptr;
+  la::Matrix* cached_output_ = nullptr;
+  const la::Matrix* grad_out_ = nullptr;
+  la::Matrix* grad_in_ = nullptr;
 };
 
 /// Row-wise softmax as a free function (used outside the layer graph).

@@ -14,12 +14,10 @@ class BatchNorm1d : public Layer {
   explicit BatchNorm1d(std::size_t features, double momentum = 0.9,
                        double eps = 1e-5);
 
-  using Layer::forward;
-  using Layer::backward;
-  const la::Matrix& forward(const la::Matrix& input, bool training,
-                            Workspace& ws) override;
-  const la::Matrix& backward(const la::Matrix& grad_output,
-                             Workspace& ws) override;
+  const la::Matrix& stage_forward(const la::Matrix& input, bool training,
+                                  Workspace& ws, Pass& pass) override;
+  const la::Matrix& stage_backward(const la::Matrix& grad_output,
+                                   Workspace& ws, Pass& pass) override;
   std::vector<Parameter*> parameters() override;
   [[nodiscard]] std::string name() const override { return "BatchNorm1d"; }
 
@@ -29,23 +27,11 @@ class BatchNorm1d : public Layer {
   [[nodiscard]] const la::Matrix& beta() const { return beta_.value; }
   [[nodiscard]] double eps() const { return eps_; }
 
-  /// Batch statistics of the most recent forward and whether that forward
-  /// actually used them (training mode, batch > 1).  The sharded trainer
-  /// reads these off each replica to rebuild exact full-batch statistics.
-  [[nodiscard]] const la::Matrix& last_batch_mean() const { return mean_; }
-  [[nodiscard]] const la::Matrix& last_batch_var() const { return var_; }
-  [[nodiscard]] bool last_used_batch_stats() const {
-    return last_forward_used_batch_stats_;
-  }
-
-  /// Folds externally combined batch statistics into the running averages,
-  /// using exactly the EMA update a training forward would have applied.
-  /// The sharded trainer calls this on the master after combining its
-  /// replicas' shard statistics (the replicas' own running averages are
-  /// throwaway).
-  void apply_running_update(const la::Matrix& mean, const la::Matrix& var);
-
  private:
+  void forward_rows(std::size_t r0, std::size_t r1);
+  void backward_rows(std::size_t r0, std::size_t r1);
+  void param_grad_units(std::size_t u0, std::size_t u1);
+
   std::size_t features_;
   double momentum_;
   double eps_;
@@ -60,7 +46,15 @@ class BatchNorm1d : public Layer {
   la::Matrix mean_;
   la::Matrix var_;
   la::Matrix cached_inv_std_;
-  const la::Matrix* cached_norm_ = nullptr;
+  const la::Matrix* input_ = nullptr;
+  la::Matrix* cached_norm_ = nullptr;
+  la::Matrix* out_ = nullptr;
+  // Backward: the incoming gradient, dX, and the column sums sum(g) and
+  // sum(g * xn) (1 x d workspace slots) both dX and gamma/beta read.
+  const la::Matrix* grad_out_ = nullptr;
+  la::Matrix* grad_in_ = nullptr;
+  const la::Matrix* sum_g_ = nullptr;
+  const la::Matrix* sum_g_xn_ = nullptr;
   bool seen_batch_ = false;
   bool last_forward_used_batch_stats_ = false;
 };

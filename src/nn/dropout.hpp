@@ -13,23 +13,26 @@ class Dropout : public Layer {
  public:
   Dropout(double p, common::Rng rng);
 
-  using Layer::forward;
-  using Layer::backward;
-  const la::Matrix& forward(const la::Matrix& input, bool training,
-                            Workspace& ws) override;
-  const la::Matrix& backward(const la::Matrix& grad_output,
-                             Workspace& ws) override;
+  const la::Matrix& stage_forward(const la::Matrix& input, bool training,
+                                  Workspace& ws, Pass& pass) override;
+  const la::Matrix& stage_backward(const la::Matrix& grad_output,
+                                   Workspace& ws, Pass& pass) override;
   [[nodiscard]] std::string name() const override { return "Dropout"; }
 
-  /// Replaces the mask stream (sharded replicas get decorrelated streams).
-  void reseed(common::Rng rng) { rng_ = rng; }
-
  private:
+  void draw_mask();
+  void forward_rows(std::size_t r0, std::size_t r1);
+  void backward_rows(std::size_t r0, std::size_t r1);
+
   double p_;
   common::Rng rng_;
   // The last training forward's keep/scale mask, in that forward's
   // workspace; nullptr after an identity (inference) forward.
-  const la::Matrix* mask_ = nullptr;
+  la::Matrix* mask_ = nullptr;
+  const la::Matrix* input_ = nullptr;
+  la::Matrix* out_ = nullptr;
+  const la::Matrix* grad_out_ = nullptr;
+  la::Matrix* grad_in_ = nullptr;
 };
 
 }  // namespace fsda::nn

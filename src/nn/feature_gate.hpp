@@ -17,12 +17,10 @@ class FeatureGate : public Layer {
  public:
   explicit FeatureGate(std::size_t features, double temperature = 1.0);
 
-  using Layer::forward;
-  using Layer::backward;
-  const la::Matrix& forward(const la::Matrix& input, bool training,
-                            Workspace& ws) override;
-  const la::Matrix& backward(const la::Matrix& grad_output,
-                             Workspace& ws) override;
+  const la::Matrix& stage_forward(const la::Matrix& input, bool training,
+                                  Workspace& ws, Pass& pass) override;
+  const la::Matrix& stage_backward(const la::Matrix& grad_output,
+                                   Workspace& ws, Pass& pass) override;
   std::vector<Parameter*> parameters() override;
   [[nodiscard]] std::string name() const override { return "FeatureGate"; }
 
@@ -31,11 +29,18 @@ class FeatureGate : public Layer {
 
  private:
   void gate_values_into(la::Matrix& gate) const;
+  void forward_rows(std::size_t r0, std::size_t r1);
+  void backward_rows(std::size_t r0, std::size_t r1);
+  void param_grad_units(std::size_t u0, std::size_t u1);
 
   std::size_t features_;
   double temperature_;
   Parameter logits_;
   const la::Matrix* cached_input_ = nullptr;
+  la::Matrix* out_ = nullptr;
+  const la::Matrix* grad_out_ = nullptr;
+  la::Matrix* grad_in_ = nullptr;
+  la::Matrix* grad_gate_ = nullptr;  // 1 x d workspace slot
   la::Matrix cached_gate_;  // 1 x d
 };
 

@@ -12,11 +12,42 @@ namespace fsda::nn {
 
 Optimizer::Optimizer(std::vector<Parameter*> params)
     : params_(std::move(params)) {
-  for (Parameter* p : params_) FSDA_CHECK_MSG(p != nullptr, "null parameter");
+  offsets_.reserve(params_.size() + 1);
+  offsets_.push_back(0);
+  for (Parameter* p : params_) {
+    FSDA_CHECK_MSG(p != nullptr, "null parameter");
+    offsets_.push_back(offsets_.back() + p->value.size());
+  }
+}
+
+template <typename Fn>
+void Optimizer::sweep(const Fn& fn) {
+  // [begin, end) of the concatenation maps back to (parameter, offset)
+  // runs.  Elements are independent, so any split is bit-identical to a
+  // serial sweep.
+  const auto run = [&](std::size_t begin, std::size_t end) {
+    std::size_t i = static_cast<std::size_t>(
+        std::upper_bound(offsets_.begin(), offsets_.end(), begin) -
+        offsets_.begin() - 1);
+    for (std::size_t pos = begin; pos < end; ++i) {
+      const std::size_t off = pos - offsets_[i];
+      const std::size_t len = std::min(end, offsets_[i + 1]) - pos;
+      fn(i, off, len);
+      pos += len;
+    }
+  };
+  const std::size_t total = offsets_.back();
+  if (total >= la::kParallelAdamElements) {
+    common::parallel_for_chunked(total, run);
+  } else {
+    run(0, total);
+  }
 }
 
 void Optimizer::zero_grad() {
-  for (Parameter* p : params_) p->zero_grad();
+  sweep([this](std::size_t i, std::size_t off, std::size_t len) {
+    std::fill_n(params_[i]->grad.data().data() + off, len, 0.0);
+  });
 }
 
 Sgd::Sgd(std::vector<Parameter*> params, double lr, double momentum,
@@ -60,12 +91,9 @@ Adam::Adam(std::vector<Parameter*> params, double lr, double beta1,
   FSDA_CHECK(beta1 >= 0.0 && beta1 < 1.0 && beta2 >= 0.0 && beta2 < 1.0);
   m_.reserve(params_.size());
   v_.reserve(params_.size());
-  offsets_.reserve(params_.size() + 1);
-  offsets_.push_back(0);
   for (Parameter* p : params_) {
     m_.emplace_back(p->value.rows(), p->value.cols(), 0.0);
     v_.emplace_back(p->value.rows(), p->value.cols(), 0.0);
-    offsets_.push_back(offsets_.back() + p->value.size());
   }
 }
 
@@ -79,30 +107,14 @@ void Adam::step() {
   c.weight_decay = weight_decay_;
   c.bias_corr1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   c.bias_corr2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  // One sweep over the concatenation of every parameter: [begin, end) maps
-  // back to (parameter, offset) runs.  Elements update independently and the
-  // scalar and AVX2 kernels agree bitwise at any split point, so a pool
-  // region over the whole range is bit-identical to a serial sweep.
-  const auto sweep = [&](std::size_t begin, std::size_t end) {
-    std::size_t i = static_cast<std::size_t>(
-        std::upper_bound(offsets_.begin(), offsets_.end(), begin) -
-        offsets_.begin() - 1);
-    for (std::size_t pos = begin; pos < end; ++i) {
-      const std::size_t off = pos - offsets_[i];
-      const std::size_t len = std::min(end, offsets_[i + 1]) - pos;
-      la::fused_adam_update(params_[i]->value.data().data() + off,
-                            m_[i].data().data() + off,
-                            v_[i].data().data() + off,
-                            params_[i]->grad.data().data() + off, len, c);
-      pos += len;
-    }
-  };
-  const std::size_t total = offsets_.back();
-  if (total >= la::kParallelAdamElements) {
-    common::parallel_for_chunked(total, sweep);
-  } else {
-    sweep(0, total);
-  }
+  // The scalar and AVX2 kernels agree bitwise at any split point, so the
+  // pool sweep is bit-identical to a serial one.
+  sweep([&](std::size_t i, std::size_t off, std::size_t len) {
+    la::fused_adam_update(params_[i]->value.data().data() + off,
+                          m_[i].data().data() + off,
+                          v_[i].data().data() + off,
+                          params_[i]->grad.data().data() + off, len, c);
+  });
   for (Parameter* p : params_) p->bump_version();
 }
 

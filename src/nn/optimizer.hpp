@@ -21,7 +21,8 @@ class Optimizer {
   /// gradients untouched (call zero_grad() to clear them).
   virtual void step() = 0;
 
-  /// Zeroes all parameter gradients.
+  /// Zeroes all parameter gradients (one pool region from
+  /// la::kParallelAdamElements elements, like Adam::step).
   void zero_grad();
 
   [[nodiscard]] const std::vector<Parameter*>& params() const {
@@ -29,7 +30,15 @@ class Optimizer {
   }
 
  protected:
+  /// Runs fn(parameter index, offset, length) over the element range
+  /// [0, total) of the parameters laid end to end, split across the pool
+  /// from la::kParallelAdamElements elements.
+  template <typename Fn>
+  void sweep(const Fn& fn);
+
   std::vector<Parameter*> params_;
+  /// offsets_[i] = elements of params_[0..i); offsets_.back() is the total.
+  std::vector<std::size_t> offsets_;
 };
 
 /// SGD with optional momentum and decoupled weight decay.
@@ -67,8 +76,6 @@ class Adam : public Optimizer {
   double weight_decay_;
   std::vector<la::Matrix> m_;
   std::vector<la::Matrix> v_;
-  /// offsets_[i] = elements of params_[0..i); offsets_.back() is the total.
-  std::vector<std::size_t> offsets_;
   std::int64_t t_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "la/kernels.hpp"
+#include "la/view.hpp"
 #include "nn/workspace.hpp"
 
 namespace fsda::nn {
@@ -11,25 +12,37 @@ ParallelSum::ParallelSum(LayerPtr a, LayerPtr b)
   FSDA_CHECK_MSG(a_ != nullptr && b_ != nullptr, "null branch");
 }
 
-const la::Matrix& ParallelSum::forward(const la::Matrix& input, bool training,
-                                       Workspace& ws) {
-  const la::Matrix& ya = a_->forward(input, training, ws);
-  const la::Matrix& yb = b_->forward(input, training, ws);
-  la::Matrix& out = ws.buffer(this, 0, ya.rows(), ya.cols());
-  la::add_into(ya, yb, out);
-  return out;
+const la::Matrix& ParallelSum::stage_forward(const la::Matrix& input,
+                                             bool training, Workspace& ws,
+                                             Pass& pass) {
+  // Both branches stage into the caller's pass; the sum is one more row
+  // stage after them, so a branch without barriers (the generator's skip
+  // Linear) shares the other branch's regions.
+  lhs_ = &a_->stage_forward(input, training, ws, pass);
+  rhs_ = &b_->stage_forward(input, training, ws, pass);
+  out_ = &ws.buffer(this, 0, lhs_->rows(), lhs_->cols());
+  pass.row_stage<ParallelSum, &ParallelSum::add_rows>(this);
+  return *out_;
 }
 
-const la::Matrix& ParallelSum::backward(const la::Matrix& grad_output,
-                                        Workspace& ws) {
+const la::Matrix& ParallelSum::stage_backward(const la::Matrix& grad_output,
+                                              Workspace& ws, Pass& pass) {
   // Both branches see the caller's input-gradient flag; when it is off
   // neither produces a dX, so there is nothing to sum.
-  const la::Matrix& ga = a_->backward(grad_output, ws);
-  const la::Matrix& gb = b_->backward(grad_output, ws);
+  const la::Matrix& ga = a_->stage_backward(grad_output, ws, pass);
+  const la::Matrix& gb = b_->stage_backward(grad_output, ws, pass);
   if (!ws.input_grad_enabled()) return ga;
-  la::Matrix& grad = ws.buffer(this, 1, ga.rows(), ga.cols());
-  la::add_into(ga, gb, grad);
-  return grad;
+  lhs_ = &ga;
+  rhs_ = &gb;
+  out_ = &ws.buffer(this, 1, ga.rows(), ga.cols());
+  pass.row_stage<ParallelSum, &ParallelSum::add_rows>(this);
+  return *out_;
+}
+
+void ParallelSum::add_rows(std::size_t r0, std::size_t r1) {
+  la::add_into(la::ConstMatrixView(*lhs_).row_block(r0, r1 - r0),
+               la::ConstMatrixView(*rhs_).row_block(r0, r1 - r0),
+               la::MatrixView(*out_).row_block(r0, r1 - r0));
 }
 
 std::vector<Parameter*> ParallelSum::parameters() {

@@ -14,12 +14,10 @@ class ParallelSum : public Layer {
  public:
   ParallelSum(LayerPtr a, LayerPtr b);
 
-  using Layer::forward;
-  using Layer::backward;
-  const la::Matrix& forward(const la::Matrix& input, bool training,
-                            Workspace& ws) override;
-  const la::Matrix& backward(const la::Matrix& grad_output,
-                             Workspace& ws) override;
+  const la::Matrix& stage_forward(const la::Matrix& input, bool training,
+                                  Workspace& ws, Pass& pass) override;
+  const la::Matrix& stage_backward(const la::Matrix& grad_output,
+                                   Workspace& ws, Pass& pass) override;
   std::vector<Parameter*> parameters() override;
   void for_each_child(const std::function<void(Layer&)>& fn) override;
   [[nodiscard]] std::string name() const override { return "ParallelSum"; }
@@ -30,8 +28,15 @@ class ParallelSum : public Layer {
   [[nodiscard]] Layer& branch_b() { return *b_; }
 
  private:
+  /// out_ = lhs_ + rhs_ over rows [r0, r1): the branch sum in forward,
+  /// the dX sum in backward.
+  void add_rows(std::size_t r0, std::size_t r1);
+
   LayerPtr a_;
   LayerPtr b_;
+  const la::Matrix* lhs_ = nullptr;
+  const la::Matrix* rhs_ = nullptr;
+  la::Matrix* out_ = nullptr;
 };
 
 }  // namespace fsda::nn

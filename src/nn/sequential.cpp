@@ -20,22 +20,25 @@ void zero_gradients(const std::vector<Parameter*>& params) {
   for (Parameter* p : params) p->zero_grad();
 }
 
-const la::Matrix& Sequential::forward(const la::Matrix& input, bool training,
-                                      Workspace& ws) {
+const la::Matrix& Sequential::stage_forward(const la::Matrix& input,
+                                            bool training, Workspace& ws,
+                                            Pass& pass) {
   const la::Matrix* x = &input;
-  for (auto& layer : layers_) x = &layer->forward(*x, training, ws);
+  for (auto& layer : layers_) {
+    x = &layer->stage_forward(*x, training, ws, pass);
+  }
   return *x;
 }
 
-const la::Matrix& Sequential::backward(const la::Matrix& grad_output,
-                                       Workspace& ws) {
+const la::Matrix& Sequential::stage_backward(const la::Matrix& grad_output,
+                                             Workspace& ws, Pass& pass) {
   // Every layer but the first feeds its dX to the layer before it; only the
   // first one's dX leaves the stack, so only it sees the caller's flag.
   const bool input_grad = ws.input_grad_enabled();
   const la::Matrix* g = &grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
     ws.set_input_grad_enabled(std::next(it) != layers_.rend() || input_grad);
-    g = &(*it)->backward(*g, ws);
+    g = &(*it)->stage_backward(*g, ws, pass);
   }
   ws.set_input_grad_enabled(input_grad);
   return *g;

@@ -9,7 +9,9 @@
 
 namespace fsda::nn {
 
-/// Runs layers in order on forward and in reverse on backward.
+/// Runs layers in order on forward and in reverse on backward, staging
+/// them all into one pass: each stretch between barriers is one pool
+/// region (nn/layer.hpp).
 class Sequential : public Layer {
  public:
   Sequential() = default;
@@ -23,12 +25,10 @@ class Sequential : public Layer {
 
   void add(LayerPtr layer) { layers_.push_back(std::move(layer)); }
 
-  using Layer::forward;
-  using Layer::backward;
-  const la::Matrix& forward(const la::Matrix& input, bool training,
-                            Workspace& ws) override;
-  const la::Matrix& backward(const la::Matrix& grad_output,
-                             Workspace& ws) override;
+  const la::Matrix& stage_forward(const la::Matrix& input, bool training,
+                                  Workspace& ws, Pass& pass) override;
+  const la::Matrix& stage_backward(const la::Matrix& grad_output,
+                                   Workspace& ws, Pass& pass) override;
   std::vector<Parameter*> parameters() override;
   void for_each_child(const std::function<void(Layer&)>& fn) override;
   [[nodiscard]] std::string name() const override { return "Sequential"; }

@@ -5,8 +5,6 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "la/kernels.hpp"
-#include "nn/batchnorm.hpp"
-#include "nn/dropout.hpp"
 
 namespace fsda::nn {
 
@@ -85,95 +83,6 @@ void reduce_shard_gradients(
   }
   for (std::size_t p = 0; p < master.size(); ++p) {
     master[p]->grad += shards[0][p]->grad;
-  }
-}
-
-namespace {
-void collect_layers_into(Layer& layer, std::vector<Layer*>& out) {
-  out.push_back(&layer);
-  layer.for_each_child(
-      [&out](Layer& child) { collect_layers_into(child, out); });
-}
-}  // namespace
-
-std::vector<Layer*> collect_layers(Layer& root) {
-  std::vector<Layer*> out;
-  collect_layers_into(root, out);
-  return out;
-}
-
-void reseed_dropouts(Layer& root, common::Rng rng) {
-  std::uint64_t index = 0;
-  for (Layer* layer : collect_layers(root)) {
-    if (auto* dropout = dynamic_cast<Dropout*>(layer)) {
-      dropout->reseed(rng.split(++index));
-    }
-  }
-}
-
-void GhostBatchNormSync::bind(Layer& master,
-                              const std::vector<Layer*>& replicas) {
-  entries_.clear();
-  std::vector<BatchNorm1d*> master_bns;
-  for (Layer* layer : collect_layers(master)) {
-    if (auto* bn = dynamic_cast<BatchNorm1d*>(layer)) master_bns.push_back(bn);
-  }
-  entries_.resize(master_bns.size());
-  for (std::size_t i = 0; i < master_bns.size(); ++i) {
-    entries_[i].master = master_bns[i];
-  }
-  for (Layer* replica : replicas) {
-    std::size_t i = 0;
-    for (Layer* layer : collect_layers(*replica)) {
-      if (auto* bn = dynamic_cast<BatchNorm1d*>(layer)) {
-        FSDA_CHECK_MSG(i < entries_.size(),
-                       "replica has more BatchNorm layers than master");
-        entries_[i++].replicas.push_back(bn);
-      }
-    }
-    FSDA_CHECK_MSG(i == entries_.size(),
-                   "replica has fewer BatchNorm layers than master");
-  }
-}
-
-void GhostBatchNormSync::update(const std::vector<ShardRange>& ranges) {
-  if (entries_.empty()) return;
-  double total = 0.0;
-  for (const ShardRange& range : ranges) {
-    total += static_cast<double>(range.second - range.first);
-  }
-  if (total <= 0.0) return;
-  for (Entry& entry : entries_) {
-    // A tail batch may resolve to fewer shards than replicas exist; only
-    // the first ranges.size() replicas ran.
-    FSDA_CHECK_MSG(ranges.size() <= entry.replicas.size(),
-                   "GhostBatchNormSync: more ranges than replicas");
-    bool used = true;
-    for (std::size_t r = 0; r < ranges.size(); ++r) {
-      used = used && entry.replicas[r]->last_used_batch_stats();
-    }
-    if (!used) continue;  // eval-mode or degenerate forward; nothing to fold
-    const std::size_t d = entry.replicas.front()->last_batch_mean().cols();
-    mean_.resize(1, d);
-    var_.resize(1, d);
-    mean_.fill(0.0);
-    var_.fill(0.0);
-    for (std::size_t r = 0; r < ranges.size(); ++r) {
-      const double w =
-          static_cast<double>(ranges[r].second - ranges[r].first) / total;
-      const la::Matrix& sm = entry.replicas[r]->last_batch_mean();
-      const la::Matrix& sv = entry.replicas[r]->last_batch_var();
-      for (std::size_t c = 0; c < d; ++c) {
-        mean_(0, c) += w * sm(0, c);
-        var_(0, c) += w * (sv(0, c) + sm(0, c) * sm(0, c));
-      }
-    }
-    for (std::size_t c = 0; c < d; ++c) {
-      // Exact full-batch (biased) variance; clamp guards rounding-induced
-      // tiny negatives when the batch is nearly constant.
-      var_(0, c) = std::max(var_(0, c) - mean_(0, c) * mean_(0, c), 0.0);
-    }
-    entry.master->apply_running_update(mean_, var_);
   }
 }
 

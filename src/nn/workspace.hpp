@@ -57,13 +57,12 @@ class Workspace {
                             const la::Matrix& weights, std::uint64_t version,
                             bool transposed = false);
 
-  /// When false, parameterized layers skip accumulating their weight/bias
-  /// gradients in backward() and produce only the input gradient (dX).
-  /// GAN generator steps use this for the discriminator backward whose
-  /// weight gradients are discarded anyway -- dX is unchanged, so the
-  /// training trajectory is identical.  Honored by nn::Linear (the only
-  /// parameterized layer in the discriminator stacks); layers that never
-  /// see the flag cleared (BatchNorm in the generators) are unaffected.
+  /// When false, parameterized layers skip accumulating their parameter
+  /// gradients in backward() (Linear's weight and bias, BatchNorm1d's gamma
+  /// and beta, FeatureGate's logits) and produce only the input gradient
+  /// (dX).  GAN generator steps use this for the discriminator backward
+  /// whose weight gradients are discarded anyway -- dX is unchanged, so the
+  /// training trajectory is identical.
   [[nodiscard]] bool param_grads_enabled() const {
     return param_grads_enabled_;
   }
@@ -75,8 +74,9 @@ class Workspace {
   /// whose dX is discarded (a discriminator's real/fake passes, a
   /// generator's or classifier's backward); parameter gradients are
   /// bit-identical either way.  Sequential::backward re-enables it for
-  /// every layer but its first, ParallelSum hands it to both branches, and
-  /// nn::Linear honors it by skipping the transposed pack and the dX GEMM.
+  /// every layer but its first, ParallelSum hands it to both branches,
+  /// nn::Linear honors it by skipping the transposed pack and the dX GEMM,
+  /// and BatchNorm1d and FeatureGate skip their dX row stage.
   [[nodiscard]] bool input_grad_enabled() const { return input_grad_enabled_; }
   void set_input_grad_enabled(bool on) { input_grad_enabled_ = on; }
 

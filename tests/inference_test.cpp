@@ -302,16 +302,16 @@ TEST(InferencePlanTest, UnsupportedLayerYieldsNullopt) {
   /// A layer kind the compiler does not know.
   class Unknown : public nn::Layer {
    public:
-    using nn::Layer::forward;
-    using nn::Layer::backward;
-    const la::Matrix& forward(const la::Matrix& input, bool, nn::Workspace& ws)
+    const la::Matrix& stage_forward(const la::Matrix& input, bool,
+                                    nn::Workspace& ws, nn::Pass& pass)
         override {
+      pass.barrier();
       la::Matrix& out = ws.buffer(this, 0, input.rows(), input.cols());
       out = input;
       return out;
     }
-    const la::Matrix& backward(const la::Matrix& grad, nn::Workspace&)
-        override {
+    const la::Matrix& stage_backward(const la::Matrix& grad, nn::Workspace&,
+                                     nn::Pass&) override {
       return grad;
     }
     [[nodiscard]] std::string name() const override { return "Unknown"; }

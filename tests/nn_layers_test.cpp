@@ -336,10 +336,10 @@ TEST(DropoutTest, MaskMatchesPerElementBernoulliReference) {
 }
 
 TEST(TanhTest, SplitForwardMatchesInlineTanhBitwise) {
-  // Large enough that the forward splits its rows across the pool.
+  // Large enough that the pass splits its rows across the pool.
   common::Rng rng(91);
   const la::Matrix x = la::Matrix::randn(96, 40, rng) * 2.0;
-  ASSERT_GE(x.size(), la::kParallelTanhElements);
+  ASSERT_GE(x.rows(), 2 * la::kParallelPassRows);
   Tanh tanh_layer;
   Workspace ws;
   const la::Matrix& y = tanh_layer.forward(x, /*training=*/true, ws);
