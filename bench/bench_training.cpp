@@ -3,9 +3,11 @@
 // 442-feature 5GC telemetry shapes.
 //
 // For each reconstructor (CGAN, VAE, VanillaAE) the bench times a fit and
-// reports fit seconds, ms/step and the GEMM pack seconds.  One JSON line of
-// results goes to BENCH_training.json under the bench output directory (CI
-// uploads it as an artifact so the perf trajectory is tracked).
+// reports fit seconds, ms/step, the GEMM pack seconds and the epochs the fit
+// ran.  The CGAN stops on its holdout-MSE plateau, so `epochs` is only its
+// cap: compare fit_s across commits only where epochs_run matches.  One JSON
+// line of results goes to BENCH_training.json under the bench output
+// directory (CI uploads it as an artifact so the perf trajectory is tracked).
 //
 // Knobs: FSDA_SMOKE=1 shrinks shapes and epochs for CI smoke runs;
 // FSDA_METRICS_OUT / FSDA_TRACE behave as in every other bench.
@@ -33,6 +35,7 @@ struct FitResult {
   double seconds = 0.0;
   double ms_per_step = 0.0;
   double pack_seconds = 0.0;
+  std::size_t epochs_run = 0;
 };
 
 struct TrainingData {
@@ -60,7 +63,16 @@ double steps_per_second() {
       .value();
 }
 
-FitResult timed_fit(core::Reconstructor& model, const TrainingData& d) {
+/// Epochs the last fit ran: the CGAN's history; the VAE and the autoencoder
+/// have no early stop and run their whole budget.
+std::size_t epochs_run(const core::Reconstructor& model,
+                       std::size_t budget) {
+  const auto* gan = dynamic_cast<const core::ConditionalGAN*>(&model);
+  return gan != nullptr ? gan->history().size() : budget;
+}
+
+FitResult timed_fit(core::Reconstructor& model, const TrainingData& d,
+                    std::size_t budget) {
   const double pack0 = nn::gemm_pack_seconds();
   common::Stopwatch watch;
   model.fit(d.x_inv, d.x_var, d.labels, 3);
@@ -69,12 +81,13 @@ FitResult timed_fit(core::Reconstructor& model, const TrainingData& d) {
   const double sps = steps_per_second();
   r.ms_per_step = sps > 0.0 ? 1e3 / sps : 0.0;
   r.pack_seconds = nn::gemm_pack_seconds() - pack0;
+  r.epochs_run = epochs_run(model, budget);
   return r;
 }
 
 void print_row(const char* name, const FitResult& r) {
-  std::printf("%-14s %10.2f %12.3f %10.3f\n", name, r.seconds, r.ms_per_step,
-              r.pack_seconds);
+  std::printf("%-14s %10.2f %12.3f %10.3f %10zu\n", name, r.seconds,
+              r.ms_per_step, r.pack_seconds, r.epochs_run);
 }
 
 }  // namespace
@@ -120,9 +133,9 @@ int main() {
   // and scheduling noise otherwise dominates.
   const std::size_t reps = smoke ? 1 : 3;
   const auto run = [&](core::Reconstructor& model) {
-    FitResult best = timed_fit(model, data);
+    FitResult best = timed_fit(model, data, epochs);
     for (std::size_t rep = 1; rep < reps; ++rep) {
-      const FitResult r = timed_fit(model, data);
+      const FitResult r = timed_fit(model, data, epochs);
       if (r.seconds < best.seconds) best = r;
     }
     return best;
@@ -146,8 +159,8 @@ int main() {
   core::AutoencoderReconstructor ae(inv_dim, var_dim, ae_opts, 7);
   const FitResult ae_r = run(ae);
 
-  std::printf("\n%-14s %10s %12s %10s\n", "model", "fit(s)", "ms/step",
-              "pack(s)");
+  std::printf("\n%-14s %10s %12s %10s %10s\n", "model", "fit(s)", "ms/step",
+              "pack(s)", "epochs");
   print_row("CGAN", gan_r);
   print_row("VAE", vae_r);
   print_row("VanillaAE", ae_r);
@@ -165,13 +178,15 @@ int main() {
         "{\"bench\":\"training\",\"smoke\":%s,\"inv_dim\":%zu,"
         "\"var_dim\":%zu,\"samples\":%zu,\"epochs\":%zu,\"avx2\":%s,"
         "\"cgan\":{\"fit_s\":%.3f,\"ms_per_step\":%.3f,"
-        "\"pack_seconds\":%.4f},"
-        "\"vae\":{\"fit_s\":%.3f,\"ms_per_step\":%.3f},"
-        "\"ae\":{\"fit_s\":%.3f,\"ms_per_step\":%.3f}}\n",
+        "\"pack_seconds\":%.4f,\"epochs_run\":%zu},"
+        "\"vae\":{\"fit_s\":%.3f,\"ms_per_step\":%.3f,\"epochs_run\":%zu},"
+        "\"ae\":{\"fit_s\":%.3f,\"ms_per_step\":%.3f,\"epochs_run\":%zu}}"
+        "\n",
         smoke ? "true" : "false", inv_dim, var_dim, n, epochs,
         la::gemm_avx2_available() ? "true" : "false", gan_r.seconds,
-        gan_r.ms_per_step, gan_r.pack_seconds, vae_r.seconds,
-        vae_r.ms_per_step, ae_r.seconds, ae_r.ms_per_step);
+        gan_r.ms_per_step, gan_r.pack_seconds, gan_r.epochs_run,
+        vae_r.seconds, vae_r.ms_per_step, vae_r.epochs_run, ae_r.seconds,
+        ae_r.ms_per_step, ae_r.epochs_run);
     out << line;
     std::printf("results written to %s\n", path.c_str());
   }

@@ -134,10 +134,11 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
 
   // Warm start (one-shot, DESIGN.md §16): the networks above were built
   // normally -- consuming init_rng in the exact cold order -- and only then
-  // are the previous generation's weights restored over them, so a fit with
-  // no warm request is bit-identical to the pre-warm-start trajectory.  A
-  // shape mismatch (e.g. a different num_classes changing the discriminator
-  // input width) silently degrades to a cold fit.
+  // are the previous generation's weights restored over them, so a warm
+  // request changes the starting weights and the epoch cap, never the order
+  // in which the fit draws from its streams.  A shape mismatch (e.g. a
+  // different num_classes changing the discriminator input width) silently
+  // degrades to a cold fit.
   std::vector<la::Matrix> warm_g = std::move(warm_g_);
   std::vector<la::Matrix> warm_d = std::move(warm_d_);
   warm_g_.clear();
@@ -251,14 +252,14 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   TrainingSentinel sentinel(all_params, options_.retry, options_.divergence,
                             options_.snapshot_every);
 
-  // Warm fits early-stop once the generator's holdout reconstruction MSE
+  // Every fit stops early once the generator's holdout reconstruction MSE
   // plateaus: a stride sample of the training rows paired with one fixed
-  // noise draw, so successive epochs are scored on identical inputs.  Cold
-  // fits never build (or evaluate) the holdout, preserving their trajectory.
+  // noise draw, so successive epochs are scored on identical inputs.  The
+  // epoch budget (warm_epochs for a warm attempt, epochs otherwise) is a cap.
   la::Matrix hold_in;
   la::Matrix hold_var;
   la::Matrix plateau_grad;
-  if (warm_started_) {
+  {
     const std::size_t stride = std::max<std::size_t>(1, n / 256);
     std::vector<std::size_t> hold_rows;
     for (std::size_t r = 0; r < n; r += stride) hold_rows.push_back(r);
@@ -283,7 +284,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
     if (sentinel.health().retries > 0) {
       rng_ = rng_.split(sentinel.seed_salt());
       // A diverged warm attempt falls back to the cold initialization: every
-      // retry is an ordinary cold fit with the full epoch budget.
+      // retry is an ordinary cold fit capped at `epochs`.
       if (warm_started_) restore_parameters(all_params, cold_init);
     }
     const std::size_t attempt_epochs =
@@ -393,16 +394,14 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
               epoch, stats.d_loss + stats.g_adv_loss + stats.g_recon_loss)) {
         return;  // diverged; parameters rolled back to last healthy snapshot
       }
-      if (warm_attempt) {
-        const la::Matrix& hold_fake =
-            generator_->forward(hold_in, /*training=*/false, b.ws);
-        const double hold_mse = nn::mse_into(hold_fake, hold_var, plateau_grad);
-        if (hold_mse < best_holdout - options_.plateau_min_delta) {
-          best_holdout = hold_mse;
-          plateau_streak = 0;
-        } else if (++plateau_streak >= options_.plateau_patience) {
-          return;  // holdout MSE plateaued: the warm start already converged
-        }
+      const la::Matrix& hold_fake =
+          generator_->forward(hold_in, /*training=*/false, b.ws);
+      const double hold_mse = nn::mse_into(hold_fake, hold_var, plateau_grad);
+      if (hold_mse < best_holdout - options_.plateau_min_delta) {
+        best_holdout = hold_mse;
+        plateau_streak = 0;
+      } else if (++plateau_streak >= options_.plateau_patience) {
+        return;  // holdout MSE plateaued: further epochs stopped paying
       }
     }
   };
@@ -411,6 +410,9 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
     run_attempt();
   } while (sentinel.retry_after_divergence());
   train_health_ = sentinel.health();
+  // Nothing reads a gradient after the fit: plans compile from `value`,
+  // warm_start_from captures `value`, and every fit builds fresh networks.
+  for (nn::Parameter* p : all_params) p->grad = la::Matrix();
   if (!history_.empty()) {
     auto& registry = obs::MetricsRegistry::global();
     const GanEpochStats& last = history_.back();

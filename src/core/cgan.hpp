@@ -59,12 +59,13 @@ struct CganOptions {
   /// with a bit-identical training trajectory; false reproduces the old
   /// schedule exactly (parity test hook).
   bool skip_d_grads_in_g_step = true;
-  /// Epoch budget for a warm-started fit (warm_start_from); 0 = auto
-  /// (max(epochs / 4, min(epochs, 8))).  Cold fits always run `epochs`.
+  /// Epoch cap for a warm-started fit (warm_start_from); 0 = auto
+  /// (max(epochs / 4, min(epochs, 8))).  `epochs` caps cold fits and
+  /// attempts retried after divergence.
   std::size_t warm_epochs = 0;
-  /// Warm fits stop early once the generator's holdout reconstruction MSE
-  /// has not improved by plateau_min_delta for plateau_patience consecutive
-  /// epochs.  Cold fits never early-stop (trajectory preserved).
+  /// Every fit -- warm, cold or retried -- stops early once the generator's
+  /// holdout reconstruction MSE has not improved by plateau_min_delta for
+  /// plateau_patience consecutive epochs.
   std::size_t plateau_patience = 4;
   double plateau_min_delta = 1e-4;
 
@@ -132,12 +133,12 @@ class ConditionalGAN : public Reconstructor {
   }
 
   /// Captures `previous`'s trained generator + discriminator weights so the
-  /// next fit() resumes from them with the reduced warm_epochs budget and
-  /// plateau early stopping.  Requires `previous` to be a fitted
+  /// next fit() resumes from them with the reduced warm_epochs cap (the
+  /// plateau stop applies to every fit).  Requires `previous` to be a fitted
   /// ConditionalGAN with identical dimensions, conditioning, and hidden
-  /// widths; returns false (next fit stays cold) otherwise.  When warm-start
-  /// is never requested the fit() trajectory is bit-identical to before this
-  /// feature existed.
+  /// widths; returns false (next fit stays cold) otherwise.  A warm request
+  /// changes only the starting weights and the epoch cap: warm and cold fits
+  /// draw from their rng streams in the same order.
   bool warm_start_from(const Reconstructor& previous) override;
   [[nodiscard]] bool warm_started() const override { return warm_started_; }
 

@@ -138,8 +138,8 @@ struct ReadaptContext {
   /// Per-level subset cap under WarmStart::Budgeted.
   std::size_t warm_budget = 8;
   /// Warm-start the reconstructor refit from the active generation's
-  /// weights (reduced epoch budget + plateau early stop) when the fresh
-  /// partition is identical to the active one.
+  /// weights (reduced epoch cap) when the fresh partition is identical to
+  /// the active one.
   bool warm_reconstructor = false;
   /// Generation build cache: when the fresh partition matches the active
   /// generation's, copy its AssemblyMap and fitted DriftMonitor instead of

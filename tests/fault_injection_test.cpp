@@ -332,31 +332,64 @@ TEST(ScalerGuardrailTest, ClampTransformedBoundsTheEnvelope) {
 // ---------------------------------------------------------------------------
 // Forced divergence: rollback, retry, and the degraded-mode pipeline.
 
+/// 200 rows whose 2 variant columns are smooth functions of 3 invariant ones.
+struct TanhProblem {
+  la::Matrix x_inv;
+  la::Matrix x_var;
+  std::vector<std::int64_t> labels;
+};
+
+TanhProblem make_tanh_problem(std::uint64_t seed) {
+  common::Rng rng(seed);
+  TanhProblem p;
+  p.x_inv = la::Matrix::randn(200, 3, rng);
+  p.x_inv *= 0.5;
+  p.x_var = la::Matrix(200, 2);
+  p.labels.resize(200);
+  for (std::size_t r = 0; r < 200; ++r) {
+    p.x_var(r, 0) = std::tanh(p.x_inv(r, 0));
+    p.x_var(r, 1) = std::tanh(p.x_inv(r, 1) - p.x_inv(r, 2));
+    p.labels[r] = p.x_inv(r, 0) > 0 ? 1 : 0;
+  }
+  return p;
+}
+
 TEST(DivergenceRecoveryTest, CganRecoversAfterLrBackoff) {
   // Attempt 1 at lr 1e155 diverges almost immediately; the severe backoff
   // puts attempt 2 at a sane lr, which trains through.
-  common::Rng rng(10);
-  la::Matrix x_inv = la::Matrix::randn(200, 3, rng);
-  x_inv *= 0.5;
-  la::Matrix x_var(200, 2);
-  std::vector<std::int64_t> labels(200);
-  for (std::size_t r = 0; r < 200; ++r) {
-    x_var(r, 0) = std::tanh(x_inv(r, 0));
-    x_var(r, 1) = std::tanh(x_inv(r, 1) - x_inv(r, 2));
-    labels[r] = x_inv(r, 0) > 0 ? 1 : 0;
-  }
+  const TanhProblem p = make_tanh_problem(10);
   CganOptions options = hostile_cgan();
   options.retry.max_attempts = 3;
   options.retry.backoff_factor = 2e-159;  // lr 1e155 -> 2e-4
   ConditionalGAN gan(3, 2, options, /*seed=*/11);
-  gan.fit(x_inv, x_var, labels, 2);
+  gan.fit(p.x_inv, p.x_var, p.labels, 2);
 
   EXPECT_TRUE(gan.healthy());
   EXPECT_TRUE(gan.train_health().diverged);
   EXPECT_GE(gan.fit_retries(), 1u);
   EXPECT_GE(gan.fit_rollbacks(), 1u);
   EXPECT_TRUE(std::isfinite(gan.train_health().final_loss));
-  EXPECT_TRUE(all_finite(gan.reconstruct(x_inv)));
+  EXPECT_TRUE(all_finite(gan.reconstruct(p.x_inv)));
+}
+
+TEST(DivergenceRecoveryTest, RetriedAttemptStopsOnThePlateau) {
+  // The retry after divergence runs under the same stopping rule as any
+  // other attempt: the sane-lr attempt converges and stops on the holdout
+  // plateau well inside its 200-epoch cap.
+  const TanhProblem p = make_tanh_problem(12);
+  CganOptions options = hostile_cgan();
+  options.epochs = 200;
+  options.retry.max_attempts = 3;
+  options.retry.backoff_factor = 2e-159;  // lr 1e155 -> 2e-4
+  ConditionalGAN gan(3, 2, options, /*seed=*/11);
+  gan.fit(p.x_inv, p.x_var, p.labels, 2);
+
+  EXPECT_TRUE(gan.healthy());
+  ASSERT_GE(gan.fit_retries(), 1u);
+  // history() holds the last attempt only.
+  EXPECT_GT(gan.history().size(), options.plateau_patience);
+  EXPECT_LT(gan.history().size(), options.epochs);
+  EXPECT_TRUE(all_finite(gan.reconstruct(p.x_inv)));
 }
 
 TEST(DivergenceRecoveryTest, PipelineFallsBackToMeanImputeAndKeepsServing) {

@@ -18,6 +18,7 @@
 #include "data/dataset.hpp"
 #include "la/matrix.hpp"
 #include "models/neural.hpp"
+#include "nn/layer.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define FSDA_HEAP_PROBE 0
@@ -122,6 +123,52 @@ TEST(RetainedHeapTest, CganReconstructKeepsNoScratch) {
   }
   EXPECT_LT(heap_growth_mib(before), 1.0)
       << "reconstruct() left batch-sized scratch on the heap";
+}
+
+// A fitted CGAN keeps its weights, not its gradient buffers: nothing reads
+// Parameter::grad once fit() returns, and holding it would double what each
+// generation's networks pin.
+TEST(RetainedHeapTest, FittedCganKeepsNoGradients) {
+  SKIP_WITHOUT_HEAP_PROBE();
+  constexpr std::size_t kInv = 32;
+  constexpr std::size_t kVar = 40;
+  constexpr std::size_t kHidden = 128;
+  constexpr std::size_t kClasses = 2;
+  common::Rng rng(47);
+  const la::Matrix x_inv = random_matrix(128, kInv, rng);
+  const la::Matrix x_var = random_matrix(128, kVar, rng);
+  std::vector<std::int64_t> labels(128);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<std::int64_t>(i % kClasses);
+  }
+  core::CganOptions opt;
+  opt.hidden = {kHidden, kHidden};
+  opt.epochs = 2;
+  // The first fit warms every process-wide structure the fit touches.
+  core::ConditionalGAN(kInv, kVar, opt, 5).fit(x_inv, x_var, labels,
+                                               kClasses);
+
+  const std::size_t before = heap_in_use();
+  core::ConditionalGAN gan(kInv, kVar, opt, 7);
+  gan.fit(x_inv, x_var, labels, kClasses);
+  const double growth = heap_growth_mib(before);
+
+  std::size_t weight_count = 0;
+  for (const nn::Parameter* p : gan.generator_network()->parameters()) {
+    EXPECT_EQ(p->grad.size(), 0u) << "generator gradient kept after fit";
+    weight_count += p->value.size();
+  }
+  // Discriminator: [X_inv, X_var, Y] -> hidden -> hidden -> 1.
+  const std::size_t d_in = kInv + kVar + kClasses;
+  weight_count += d_in * kHidden + kHidden + kHidden * kHidden + kHidden +
+                  kHidden + 1;
+  const double weights_mib =
+      static_cast<double>(weight_count * sizeof(double)) / kMiB;
+  // Weights plus their gradients would be 2x; allow a quarter for the
+  // batch-norm running statistics, history and allocator slack.
+  EXPECT_LT(growth, 1.25 * weights_mib)
+      << "a fitted CGAN kept its gradient buffers (" << weights_mib
+      << " MiB of weights)";
 }
 
 TEST(RetainedHeapTest, MlpPredictProbaKeepsNoScratch) {

@@ -402,6 +402,83 @@ TEST(ShardedTraining, VaeShardedFitStaysHealthy) {
 }
 
 // ---------------------------------------------------------------------------
+// One stopping rule: every CGAN fit stops on the holdout-MSE plateau.
+
+// A learnable problem: the variant block is a smooth function of the
+// invariant one plus noise no generator can predict, so the holdout MSE
+// falls and then flattens at the noise floor.
+GanFixture make_converging_fixture(std::size_t n, std::size_t inv,
+                                   std::size_t var) {
+  common::Rng rng(707);
+  GanFixture f;
+  f.x_inv = la::Matrix(n, inv, 0.0);
+  f.x_var = la::Matrix(n, var, 0.0);
+  for (auto& v : f.x_inv.data()) v = rng.uniform(-1.0, 1.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < var; ++c) {
+      f.x_var(r, c) = std::tanh(0.8 * f.x_inv(r, c % inv) -
+                                0.5 * f.x_inv(r, (c + 1) % inv)) +
+                      0.2 * rng.uniform(-1.0, 1.0);
+    }
+  }
+  f.labels.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    f.labels[i] = f.x_inv(i, 0) > 0.0 ? 1 : 0;
+  }
+  return f;
+}
+
+TEST(CganPlateau, ColdFitStopsBeforeItsBudget) {
+  const GanFixture f = make_converging_fixture(256, 4, 3);
+  core::CganOptions opts = core::CganOptions::quick();
+  opts.hidden = {16, 16};
+  opts.batch_size = 64;
+  ASSERT_EQ(opts.epochs, 200u);
+  core::ConditionalGAN gan(4, 3, opts, 21);
+  gan.fit(f.x_inv, f.x_var, f.labels, 2);
+  EXPECT_FALSE(gan.warm_started());
+  EXPECT_EQ(gan.fit_retries(), 0u);
+  EXPECT_GT(gan.history().size(), opts.plateau_patience);
+  EXPECT_LT(gan.history().size(), opts.epochs);
+}
+
+TEST(CganPlateau, StopEpochIsThreadCountInvariant) {
+  // The same fit on the caller (regions split across the pool) and inside a
+  // pool task (every region inline) scores the same holdout MSE each epoch,
+  // so it stops at the same epoch with the same weights.  Sized so every
+  // pass and Adam region crosses its split threshold.
+  const std::size_t inv = 8;
+  const std::size_t var = 4;
+  const GanFixture f = make_converging_fixture(128, inv, var);
+  core::CganOptions opts = core::CganOptions::quick();
+  opts.batch_size = 64;
+  ASSERT_EQ(opts.hidden, (std::vector<std::size_t>{96, 96}));
+  ASSERT_GE(opts.batch_size, 2 * la::kParallelPassRows);
+  ASSERT_GE(opts.batch_size * 96 * 96, la::kParallelFlopThreshold);
+
+  core::ConditionalGAN on_caller(inv, var, opts, 17);
+  core::ConditionalGAN in_task(inv, var, opts, 17);
+  on_caller.fit(f.x_inv, f.x_var, f.labels, 2);
+  common::ThreadPool::global()
+      .submit([&] { in_task.fit(f.x_inv, f.x_var, f.labels, 2); })
+      .get();
+  std::size_t g_elements = 0;
+  for (const nn::Parameter* p : on_caller.generator_network()->parameters()) {
+    g_elements += p->value.size();
+  }
+  EXPECT_GE(g_elements, la::kParallelAdamElements);
+  ASSERT_LT(on_caller.history().size(), opts.epochs)
+      << "the fit never reached its plateau";
+  EXPECT_EQ(on_caller.history().size(), in_task.history().size());
+  const la::Matrix a = on_caller.reconstruct(f.x_inv);
+  const la::Matrix b = in_task.reconstruct(f.x_inv);
+  ASSERT_EQ(a.data().size(), b.data().size());
+  for (std::size_t i = 0; i < a.data().size(); ++i) {
+    ASSERT_EQ(a.data()[i], b.data()[i]) << "element " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Zero steady-state allocations.
 
 TEST(TrainingAllocations, SteadyStateStepAllocatesNothing) {
