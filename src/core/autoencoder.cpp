@@ -6,15 +6,12 @@
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
-#include "la/kernels.hpp"
-#include "la/view.hpp"
 #include "nn/activations.hpp"
 #include "nn/backend.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/parallel_sum.hpp"
-#include "nn/sharded.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 
@@ -57,26 +54,22 @@ void AutoencoderReconstructor::fit(const la::Matrix& x_inv,
 
   common::Rng init_rng = rng_.split(0xA0E0ULL);
   // Architecture matches the GAN generator (Section VI-E): a parallel
-  // linear path plus an MLP correction, minus the noise input.  The builder
-  // takes the rng so the same architecture can be cloned for shard replicas;
-  // the master consumes init_rng in the exact pre-sharding order.
-  const auto make_net = [&](common::Rng& rng) {
-    auto net = std::make_unique<nn::Sequential>();
+  // linear path plus an MLP correction, minus the noise input.
+  net_ = std::make_unique<nn::Sequential>();
+  {
     auto trunk = std::make_unique<nn::Sequential>();
     std::size_t width = inv_dim_;
     for (std::size_t h : options_.hidden) {
-      trunk->emplace<nn::Linear>(width, h, rng);
+      trunk->emplace<nn::Linear>(width, h, init_rng);
       trunk->emplace<nn::ReLU>();
       width = h;
     }
-    trunk->emplace<nn::Linear>(width, var_dim_, rng);
-    auto skip = std::make_unique<nn::Linear>(inv_dim_, var_dim_, rng);
-    net->add(
+    trunk->emplace<nn::Linear>(width, var_dim_, init_rng);
+    auto skip = std::make_unique<nn::Linear>(inv_dim_, var_dim_, init_rng);
+    net_->add(
         std::make_unique<nn::ParallelSum>(std::move(skip), std::move(trunk)));
-    net->emplace<nn::Tanh>();
-    return net;
-  };
-  net_ = make_net(init_rng);
+    net_->emplace<nn::Tanh>();
+  }
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -101,30 +94,6 @@ void AutoencoderReconstructor::fit(const la::Matrix& x_inv,
   };
   StepScratch b;
 
-  // Deterministic data-parallel sharding (nn/sharded.hpp); see core/cgan.cpp.
-  // train_shards == 1 (default) keeps the exact pre-sharding trajectory.
-  struct AeReplica : StepScratch {
-    std::unique_ptr<nn::Sequential> net;
-    std::vector<nn::Parameter*> params;
-    double loss = 0.0;
-  };
-  const std::size_t max_shards =
-      nn::resolve_shard_count(options_.train_shards, batch);
-  std::vector<std::unique_ptr<AeReplica>> replicas;
-  std::vector<std::vector<nn::Parameter*>> all_lists;
-  if (max_shards > 1) {
-    replicas.reserve(max_shards);
-    for (std::size_t r = 0; r < max_shards; ++r) {
-      common::Rng rep_rng = init_rng.split(0xD15C0ULL + r);
-      auto rep = std::make_unique<AeReplica>();
-      rep->net = make_net(rep_rng);
-      rep->params = rep->net->parameters();
-      all_lists.push_back(rep->params);
-      replicas.push_back(std::move(rep));
-    }
-  }
-  std::vector<nn::ShardRange> ranges;
-
   const auto run_attempt = [&] {
     if (sentinel.health().retries > 0) rng_ = rng_.split(sentinel.seed_salt());
     nn::Adam optimizer(params, options_.learning_rate * sentinel.lr_scale(),
@@ -138,62 +107,14 @@ void AutoencoderReconstructor::fit(const la::Matrix& x_inv,
         const std::size_t end = std::min(n, start + batch);
         const std::span<const std::size_t> rows{order.data() + start,
                                                 end - start};
-        const std::size_t m = rows.size();
         la::select_rows_into(x_inv, rows, b.inv);
         la::select_rows_into(x_var, rows, b.var);
         optimizer.zero_grad();
-        const std::size_t shards =
-            replicas.empty()
-                ? 1
-                : std::min(nn::resolve_shard_count(options_.train_shards, m),
-                           replicas.size());
-        if (shards <= 1) {
-          const la::Matrix& recon =
-              net_->forward(b.inv, /*training=*/true, b.ws);
-          const double loss = nn::mse_into(recon, b.var, b.loss_grad);
-          net_->backward(b.loss_grad, b.ws);
-          epoch_loss += loss;
-        } else {
-          // ---- Sharded step ----  Per-shard loss gradients are weighted by
-          // rows_r / rows so the reduced gradient equals the full-batch
-          // mean-loss gradient; shards touch only replica-owned state.
-          ranges.clear();
-          for (std::size_t r = 0; r < shards; ++r) {
-            ranges.push_back(nn::shard_range(m, shards, r));
-          }
-          const double total_m = static_cast<double>(m);
-          nn::run_sharded(shards, options_.shard_threads, [&](std::size_t s) {
-            AeReplica& rep = *replicas[s];
-            const std::size_t row0 = ranges[s].first;
-            const std::size_t mr = ranges[s].second - ranges[s].first;
-            const double w = static_cast<double>(mr) / total_m;
-            nn::broadcast_parameters(params, rep.params);
-            for (nn::Parameter* p : rep.params) p->grad.fill(0.0);
-            rep.inv.resize(mr, inv_dim_);
-            rep.var.resize(mr, var_dim_);
-            la::copy_into(la::ConstMatrixView(b.inv).row_block(row0, mr),
-                          rep.inv);
-            la::copy_into(la::ConstMatrixView(b.var).row_block(row0, mr),
-                          rep.var);
-            const la::Matrix& recon =
-                rep.net->forward(rep.inv, /*training=*/true, rep.ws);
-            const double loss = nn::mse_into(recon, rep.var, rep.loss_grad);
-            rep.loss_grad *= w;
-            rep.net->backward(rep.loss_grad, rep.ws);
-            rep.loss = w * loss;
-          });
-          if (shards == all_lists.size()) {
-            nn::reduce_shard_gradients(params, all_lists);
-          } else {  // tail batch resolved to fewer shards
-            const std::vector<std::vector<nn::Parameter*>> active(
-                all_lists.begin(),
-                all_lists.begin() + static_cast<std::ptrdiff_t>(shards));
-            nn::reduce_shard_gradients(params, active);
-          }
-          for (std::size_t s = 0; s < shards; ++s) {
-            epoch_loss += replicas[s]->loss;
-          }
-        }
+        const la::Matrix& recon =
+            net_->forward(b.inv, /*training=*/true, b.ws);
+        const double loss = nn::mse_into(recon, b.var, b.loss_grad);
+        net_->backward(b.loss_grad, b.ws);
+        epoch_loss += loss;
         optimizer.step();
         ++step_count;
         ++batches;
@@ -210,6 +131,9 @@ void AutoencoderReconstructor::fit(const la::Matrix& x_inv,
     run_attempt();
   } while (sentinel.retry_after_divergence());
   train_health_ = sentinel.health();
+  // Nothing reads a gradient after the fit: reconstruct() runs forward
+  // only, and every fit builds a fresh network.
+  for (nn::Parameter* p : params) p->grad = la::Matrix();
   {
     auto& registry = obs::MetricsRegistry::global();
     registry

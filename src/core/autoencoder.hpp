@@ -22,11 +22,6 @@ struct AutoencoderOptions {
   common::RetryPolicy retry;
   DivergenceMonitorOptions divergence;
   std::size_t snapshot_every = 10;
-  /// Data-parallel minibatch shards (nn/sharded.hpp): 1 = single shard
-  /// (exact legacy trajectory), 0 = auto, N = at most N shards.
-  std::size_t train_shards = 1;
-  /// Execute shards on the ThreadPool; serial is bitwise identical.
-  bool shard_threads = true;
 
   static AutoencoderOptions quick();
 };

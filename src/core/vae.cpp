@@ -7,15 +7,12 @@
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
-#include "la/kernels.hpp"
-#include "la/view.hpp"
 #include "nn/activations.hpp"
 #include "nn/backend.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/parallel_sum.hpp"
-#include "nn/sharded.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 
@@ -58,42 +55,38 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   FSDA_CHECK(x_inv.cols() == inv_dim_ && x_var.cols() == var_dim_);
 
   common::Rng init_rng = rng_.split(0x1A7EULL);
-  // Builders take the rng so the same architecture can be cloned for shard
-  // replicas; the master consumes init_rng in the exact pre-sharding order.
-  const auto make_encoder = [&](common::Rng& rng) {
-    auto net = std::make_unique<nn::Sequential>();
+  // The encoder [inv|var] -> [mu|log_var] serves only training, so it lives
+  // and dies with this fit; reconstruct() runs the decoder alone.
+  nn::Sequential encoder;
+  {
     std::size_t width = inv_dim_ + var_dim_;
     for (std::size_t h : options_.hidden) {
-      net->emplace<nn::Linear>(width, h, rng);
-      net->emplace<nn::ReLU>();
+      encoder.emplace<nn::Linear>(width, h, init_rng);
+      encoder.emplace<nn::ReLU>();
       width = h;
     }
-    net->emplace<nn::Linear>(width, 2 * latent_dim_, rng);
-    return net;
-  };
-  const auto make_decoder = [&](common::Rng& rng) {
+    encoder.emplace<nn::Linear>(width, 2 * latent_dim_, init_rng);
+  }
+  {
     // Decoder matches the GAN generator (Section VI-E): parallel linear
     // path plus MLP correction.
-    auto net = std::make_unique<nn::Sequential>();
+    decoder_ = std::make_unique<nn::Sequential>();
     const std::size_t in = inv_dim_ + latent_dim_;
     auto trunk = std::make_unique<nn::Sequential>();
     std::size_t width = in;
     for (std::size_t h : options_.hidden) {
-      trunk->emplace<nn::Linear>(width, h, rng);
+      trunk->emplace<nn::Linear>(width, h, init_rng);
       trunk->emplace<nn::ReLU>();
       width = h;
     }
-    trunk->emplace<nn::Linear>(width, var_dim_, rng);
-    auto skip = std::make_unique<nn::Linear>(in, var_dim_, rng);
-    net->add(
+    trunk->emplace<nn::Linear>(width, var_dim_, init_rng);
+    auto skip = std::make_unique<nn::Linear>(in, var_dim_, init_rng);
+    decoder_->add(
         std::make_unique<nn::ParallelSum>(std::move(skip), std::move(trunk)));
-    net->emplace<nn::Tanh>();
-    return net;
-  };
-  encoder_ = make_encoder(init_rng);
-  decoder_ = make_decoder(init_rng);
+    decoder_->emplace<nn::Tanh>();
+  }
 
-  std::vector<nn::Parameter*> params = encoder_->parameters();
+  std::vector<nn::Parameter*> params = encoder.parameters();
   for (nn::Parameter* p : decoder_->parameters()) params.push_back(p);
 
   std::vector<std::size_t> order(n);
@@ -126,36 +119,6 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   };
   StepScratch b;
 
-  // Deterministic data-parallel sharding (nn/sharded.hpp): replicas are
-  // architecture clones with their own step scratch; values broadcast from
-  // the master (version-gated), gradients reduced through a fixed pairwise
-  // tree.  train_shards == 1 (default) keeps the exact pre-sharding
-  // trajectory.
-  struct VaeReplica : StepScratch {
-    std::unique_ptr<nn::Sequential> enc;
-    std::unique_ptr<nn::Sequential> dec;
-    std::vector<nn::Parameter*> params;  // encoder then decoder, master order
-    double loss = 0.0;
-  };
-  const std::size_t max_shards =
-      nn::resolve_shard_count(options_.train_shards, batch);
-  std::vector<std::unique_ptr<VaeReplica>> replicas;
-  std::vector<std::vector<nn::Parameter*>> all_lists;
-  if (max_shards > 1) {
-    replicas.reserve(max_shards);
-    for (std::size_t r = 0; r < max_shards; ++r) {
-      common::Rng rep_rng = init_rng.split(0xD15C0ULL + r);
-      auto rep = std::make_unique<VaeReplica>();
-      rep->enc = make_encoder(rep_rng);
-      rep->dec = make_decoder(rep_rng);
-      rep->params = rep->enc->parameters();
-      for (nn::Parameter* p : rep->dec->parameters()) rep->params.push_back(p);
-      all_lists.push_back(rep->params);
-      replicas.push_back(std::move(rep));
-    }
-  }
-  std::vector<nn::ShardRange> ranges;
-
   const auto run_attempt = [&] {
     if (sentinel.health().retries > 0) rng_ = rng_.split(sentinel.seed_salt());
     nn::Adam optimizer(params, options_.learning_rate * sentinel.lr_scale(),
@@ -175,150 +138,56 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
         la::select_rows_into(x_var, rows, b.var);
 
         optimizer.zero_grad();
-        const std::size_t shards =
-            replicas.empty()
-                ? 1
-                : std::min(nn::resolve_shard_count(options_.train_shards, m),
-                           replicas.size());
-        if (shards <= 1) {
-          // Encode: split encoder output into mu | log_var.
-          la::hcat_into(b.inv, b.var, b.enc_in);
-          const la::Matrix& enc_out =
-              encoder_->forward(b.enc_in, /*training=*/true, b.ws);
-          b.mu.resize(m, latent_dim_);
-          b.log_var.resize(m, latent_dim_);
-          for (std::size_t r = 0; r < m; ++r) {
-            for (std::size_t c = 0; c < latent_dim_; ++c) {
-              b.mu(r, c) = enc_out(r, c);
-              // Clamp log-variance for numerical safety.
-              b.log_var(r, c) =
-                  std::clamp(enc_out(r, latent_dim_ + c), -8.0, 8.0);
-            }
-          }
-
-          // Reparameterize: z = mu + exp(log_var / 2) * eps.
-          b.eps.resize(m, latent_dim_);
-          for (auto& v : b.eps.data()) v = rng_.normal();
-          b.z.resize(m, latent_dim_);
-          for (std::size_t r = 0; r < m; ++r) {
-            for (std::size_t c = 0; c < latent_dim_; ++c) {
-              b.z(r, c) =
-                  b.mu(r, c) + std::exp(0.5 * b.log_var(r, c)) * b.eps(r, c);
-            }
-          }
-
-          // Decode and compute losses.
-          la::hcat_into(b.inv, b.z, b.dec_in);
-          const la::Matrix& recon =
-              decoder_->forward(b.dec_in, /*training=*/true, b.ws);
-          const double rec_value = nn::mse_into(recon, b.var, b.recon_grad);
-          nn::gaussian_kl_into(b.mu, b.log_var, b.kl);
-          epoch_loss += rec_value + options_.kl_weight * b.kl.value;
-
-          // Backprop: decoder -> z -> (mu, log_var) -> encoder.
-          const la::Matrix& grad_dec_in =
-              decoder_->backward(b.recon_grad, b.ws);
-          b.grad_enc_out.resize(m, 2 * latent_dim_);
-          for (std::size_t r = 0; r < m; ++r) {
-            for (std::size_t c = 0; c < latent_dim_; ++c) {
-              const double gz = grad_dec_in(r, inv_dim_ + c);
-              const double sigma = std::exp(0.5 * b.log_var(r, c));
-              b.grad_enc_out(r, c) =
-                  gz + options_.kl_weight * b.kl.grad_mu(r, c);
-              b.grad_enc_out(r, latent_dim_ + c) =
-                  gz * b.eps(r, c) * 0.5 * sigma +
-                  options_.kl_weight * b.kl.grad_log_var(r, c);
-            }
-          }
-          encoder_->backward(b.grad_enc_out, b.ws);
-        } else {
-          // ---- Sharded step ----
-          // The reparameterization noise for the whole batch is drawn from
-          // the master stream before the shards run, so shard execution
-          // order never touches shared rng state; per-shard losses and loss
-          // gradients are weighted by rows_r / rows, making the reduced
-          // gradient the full-batch mean-loss gradient.
-          b.eps.resize(m, latent_dim_);
-          for (auto& v : b.eps.data()) v = rng_.normal();
-          ranges.clear();
-          for (std::size_t r = 0; r < shards; ++r) {
-            ranges.push_back(nn::shard_range(m, shards, r));
-          }
-          const double total_m = static_cast<double>(m);
-          nn::run_sharded(shards, options_.shard_threads, [&](std::size_t s) {
-            VaeReplica& rep = *replicas[s];
-            const std::size_t row0 = ranges[s].first;
-            const std::size_t mr = ranges[s].second - ranges[s].first;
-            const double w = static_cast<double>(mr) / total_m;
-            nn::broadcast_parameters(params, rep.params);
-            for (nn::Parameter* p : rep.params) p->grad.fill(0.0);
-            rep.inv.resize(mr, inv_dim_);
-            rep.var.resize(mr, var_dim_);
-            rep.eps.resize(mr, latent_dim_);
-            la::copy_into(la::ConstMatrixView(b.inv).row_block(row0, mr),
-                          rep.inv);
-            la::copy_into(la::ConstMatrixView(b.var).row_block(row0, mr),
-                          rep.var);
-            la::copy_into(la::ConstMatrixView(b.eps).row_block(row0, mr),
-                          rep.eps);
-
-            la::hcat_into(rep.inv, rep.var, rep.enc_in);
-            const la::Matrix& enc_out =
-                rep.enc->forward(rep.enc_in, /*training=*/true, rep.ws);
-            rep.mu.resize(mr, latent_dim_);
-            rep.log_var.resize(mr, latent_dim_);
-            for (std::size_t r = 0; r < mr; ++r) {
-              for (std::size_t c = 0; c < latent_dim_; ++c) {
-                rep.mu(r, c) = enc_out(r, c);
-                rep.log_var(r, c) =
-                    std::clamp(enc_out(r, latent_dim_ + c), -8.0, 8.0);
-              }
-            }
-            rep.z.resize(mr, latent_dim_);
-            for (std::size_t r = 0; r < mr; ++r) {
-              for (std::size_t c = 0; c < latent_dim_; ++c) {
-                rep.z(r, c) = rep.mu(r, c) +
-                              std::exp(0.5 * rep.log_var(r, c)) * rep.eps(r, c);
-              }
-            }
-
-            la::hcat_into(rep.inv, rep.z, rep.dec_in);
-            const la::Matrix& recon =
-                rep.dec->forward(rep.dec_in, /*training=*/true, rep.ws);
-            const double rec_value = nn::mse_into(recon, rep.var,
-                                                  rep.recon_grad);
-            nn::gaussian_kl_into(rep.mu, rep.log_var, rep.kl);
-            rep.loss = w * (rec_value + options_.kl_weight * rep.kl.value);
-
-            rep.recon_grad *= w;
-            const la::Matrix& grad_dec_in =
-                rep.dec->backward(rep.recon_grad, rep.ws);
-            rep.grad_enc_out.resize(mr, 2 * latent_dim_);
-            const double klw = options_.kl_weight * w;
-            for (std::size_t r = 0; r < mr; ++r) {
-              for (std::size_t c = 0; c < latent_dim_; ++c) {
-                const double gz = grad_dec_in(r, inv_dim_ + c);
-                const double sigma = std::exp(0.5 * rep.log_var(r, c));
-                rep.grad_enc_out(r, c) = gz + klw * rep.kl.grad_mu(r, c);
-                rep.grad_enc_out(r, latent_dim_ + c) =
-                    gz * rep.eps(r, c) * 0.5 * sigma +
-                    klw * rep.kl.grad_log_var(r, c);
-              }
-            }
-            rep.enc->backward(rep.grad_enc_out, rep.ws);
-          });
-          if (shards == all_lists.size()) {
-            nn::reduce_shard_gradients(params, all_lists);
-          } else {  // tail batch resolved to fewer shards
-            const std::vector<std::vector<nn::Parameter*>> active(
-                all_lists.begin(),
-                all_lists.begin() + static_cast<std::ptrdiff_t>(shards));
-            nn::reduce_shard_gradients(params, active);
-          }
-          for (std::size_t s = 0; s < shards; ++s) {
-            epoch_loss += replicas[s]->loss;
+        // Encode: split encoder output into mu | log_var.
+        la::hcat_into(b.inv, b.var, b.enc_in);
+        const la::Matrix& enc_out =
+            encoder.forward(b.enc_in, /*training=*/true, b.ws);
+        b.mu.resize(m, latent_dim_);
+        b.log_var.resize(m, latent_dim_);
+        for (std::size_t r = 0; r < m; ++r) {
+          for (std::size_t c = 0; c < latent_dim_; ++c) {
+            b.mu(r, c) = enc_out(r, c);
+            // Clamp log-variance for numerical safety.
+            b.log_var(r, c) =
+                std::clamp(enc_out(r, latent_dim_ + c), -8.0, 8.0);
           }
         }
+
+        // Reparameterize: z = mu + exp(log_var / 2) * eps.
+        b.eps.resize(m, latent_dim_);
+        for (auto& v : b.eps.data()) v = rng_.normal();
+        b.z.resize(m, latent_dim_);
+        for (std::size_t r = 0; r < m; ++r) {
+          for (std::size_t c = 0; c < latent_dim_; ++c) {
+            b.z(r, c) =
+                b.mu(r, c) + std::exp(0.5 * b.log_var(r, c)) * b.eps(r, c);
+          }
+        }
+
+        // Decode and compute losses.
+        la::hcat_into(b.inv, b.z, b.dec_in);
+        const la::Matrix& recon =
+            decoder_->forward(b.dec_in, /*training=*/true, b.ws);
+        const double rec_value = nn::mse_into(recon, b.var, b.recon_grad);
+        nn::gaussian_kl_into(b.mu, b.log_var, b.kl);
+        epoch_loss += rec_value + options_.kl_weight * b.kl.value;
+
+        // Backprop: decoder -> z -> (mu, log_var) -> encoder.
+        const la::Matrix& grad_dec_in =
+            decoder_->backward(b.recon_grad, b.ws);
+        b.grad_enc_out.resize(m, 2 * latent_dim_);
+        for (std::size_t r = 0; r < m; ++r) {
+          for (std::size_t c = 0; c < latent_dim_; ++c) {
+            const double gz = grad_dec_in(r, inv_dim_ + c);
+            const double sigma = std::exp(0.5 * b.log_var(r, c));
+            b.grad_enc_out(r, c) =
+                gz + options_.kl_weight * b.kl.grad_mu(r, c);
+            b.grad_enc_out(r, latent_dim_ + c) =
+                gz * b.eps(r, c) * 0.5 * sigma +
+                options_.kl_weight * b.kl.grad_log_var(r, c);
+          }
+        }
+        encoder.backward(b.grad_enc_out, b.ws);
         optimizer.step();
         ++step_count;
         ++batches;
@@ -335,6 +204,9 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
     run_attempt();
   } while (sentinel.retry_after_divergence());
   train_health_ = sentinel.health();
+  // Nothing reads a gradient after the fit: reconstruct() runs the decoder
+  // forward only, and every fit builds fresh networks.
+  for (nn::Parameter* p : decoder_->parameters()) p->grad = la::Matrix();
   {
     auto& registry = obs::MetricsRegistry::global();
     registry.gauge("vae.loss", "mean epoch loss of the last VAE epoch")

@@ -29,11 +29,6 @@ struct VaeOptions {
   common::RetryPolicy retry;
   DivergenceMonitorOptions divergence;
   std::size_t snapshot_every = 10;
-  /// Data-parallel minibatch shards (nn/sharded.hpp): 1 = single shard
-  /// (exact legacy trajectory), 0 = auto, N = at most N shards.
-  std::size_t train_shards = 1;
-  /// Execute shards on the ThreadPool; serial is bitwise identical.
-  bool shard_threads = true;
 
   static VaeOptions quick();
 };
@@ -68,8 +63,8 @@ class VaeReconstructor : public Reconstructor {
   VaeOptions options_;
   std::size_t latent_dim_;
   common::Rng rng_;
-  std::unique_ptr<nn::Sequential> encoder_;  ///< [inv|var] -> [mu|log_var]
-  std::unique_ptr<nn::Sequential> decoder_;  ///< [inv|z] -> var
+  /// [inv|z] -> var; the encoder is local to fit().
+  std::unique_ptr<nn::Sequential> decoder_;
   double last_loss_ = 0.0;
   TrainHealth train_health_;
   bool fitted_ = false;

@@ -45,8 +45,8 @@ void run_claimed(std::size_t parts, std::size_t items, const Start& start,
 Pass::Pass(std::size_t rows)
     : rows_(rows),
       blocks_((rows + la::kParallelPassRows - 1) / la::kParallelPassRows),
-      // A pass that already runs inside a region (a pool task, a sharded
-      // replica) keeps every stretch inline on its thread.
+      // A pass that already runs inside a region (a pool task) keeps every
+      // stretch inline on its thread.
       parts_(blocks_ < 2 || common::ThreadPool::in_worker()
                  ? 1
                  : std::min(common::ThreadPool::global().concurrency(),

@@ -62,8 +62,8 @@ namespace fsda::nn {
 
 /// A trainable tensor: value and accumulated gradient of identical shape.
 ///
-/// `version` changes whenever `value` changes -- optimizer steps, parameter
-/// loads, snapshot restores, and shard broadcasts all bump or overwrite it.
+/// `version` changes whenever `value` changes -- optimizer steps and
+/// snapshot restores (warm starts included) both bump it.
 /// Workspace::packed keys its weight-panel cache on it, so a pack is reused
 /// across every forward/backward of a step and rebuilt exactly once per
 /// update.  Code that writes `value` directly must call bump_version().

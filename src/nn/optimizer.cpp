@@ -10,18 +10,30 @@
 
 namespace fsda::nn {
 
-Optimizer::Optimizer(std::vector<Parameter*> params)
-    : params_(std::move(params)) {
+Adam::Adam(std::vector<Parameter*> params, double lr, double beta1,
+           double beta2, double eps, double weight_decay)
+    : params_(std::move(params)),
+      lr_(lr),
+      beta1_(beta1),
+      beta2_(beta2),
+      eps_(eps),
+      weight_decay_(weight_decay) {
+  FSDA_CHECK_MSG(lr > 0.0, "non-positive learning rate");
+  FSDA_CHECK(beta1 >= 0.0 && beta1 < 1.0 && beta2 >= 0.0 && beta2 < 1.0);
   offsets_.reserve(params_.size() + 1);
   offsets_.push_back(0);
+  m_.reserve(params_.size());
+  v_.reserve(params_.size());
   for (Parameter* p : params_) {
     FSDA_CHECK_MSG(p != nullptr, "null parameter");
     offsets_.push_back(offsets_.back() + p->value.size());
+    m_.emplace_back(p->value.rows(), p->value.cols(), 0.0);
+    v_.emplace_back(p->value.rows(), p->value.cols(), 0.0);
   }
 }
 
 template <typename Fn>
-void Optimizer::sweep(const Fn& fn) {
+void Adam::sweep(const Fn& fn) {
   // [begin, end) of the concatenation maps back to (parameter, offset)
   // runs.  Elements are independent, so any split is bit-identical to a
   // serial sweep.
@@ -44,57 +56,10 @@ void Optimizer::sweep(const Fn& fn) {
   }
 }
 
-void Optimizer::zero_grad() {
+void Adam::zero_grad() {
   sweep([this](std::size_t i, std::size_t off, std::size_t len) {
     std::fill_n(params_[i]->grad.data().data() + off, len, 0.0);
   });
-}
-
-Sgd::Sgd(std::vector<Parameter*> params, double lr, double momentum,
-         double weight_decay)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  FSDA_CHECK_MSG(lr > 0.0, "non-positive learning rate");
-  FSDA_CHECK(momentum >= 0.0 && momentum < 1.0);
-  velocity_.reserve(params_.size());
-  for (Parameter* p : params_) {
-    velocity_.emplace_back(p->value.rows(), p->value.cols(), 0.0);
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    la::Matrix& vel = velocity_[i];
-    auto value = p.value.data();
-    auto grad = p.grad.data();
-    auto v = vel.data();
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      v[j] = momentum_ * v[j] + grad[j];
-      value[j] -= lr_ * (v[j] + weight_decay_ * value[j]);
-    }
-    p.bump_version();
-  }
-}
-
-Adam::Adam(std::vector<Parameter*> params, double lr, double beta1,
-           double beta2, double eps, double weight_decay)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps),
-      weight_decay_(weight_decay) {
-  FSDA_CHECK_MSG(lr > 0.0, "non-positive learning rate");
-  FSDA_CHECK(beta1 >= 0.0 && beta1 < 1.0 && beta2 >= 0.0 && beta2 < 1.0);
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (Parameter* p : params_) {
-    m_.emplace_back(p->value.rows(), p->value.cols(), 0.0);
-    v_.emplace_back(p->value.rows(), p->value.cols(), 0.0);
-  }
 }
 
 void Adam::step() {

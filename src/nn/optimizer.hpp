@@ -1,35 +1,36 @@
-// fsda::nn -- gradient-based optimizers.
+// fsda::nn -- the Adam optimizer.
 //
 // The paper trains both GAN networks with Adam at lr 2e-4 and weight decay
-// 1e-6 (Section V-C3).  SGD (with momentum) is kept for tests and the
-// DANN/SCL baselines.
+// 1e-6 (Section V-C3); every network in the repository trains with it.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "nn/layer.hpp"
 
 namespace fsda::nn {
 
-/// Base class: owns a view of the parameters it updates.
-class Optimizer {
+/// Adam with decoupled weight decay (AdamW-style), bias-corrected.  Owns a
+/// view of the parameters it updates.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Parameter*> params);
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Parameter*> params, double lr = 2e-4, double beta1 = 0.5,
+       double beta2 = 0.999, double eps = 1e-8, double weight_decay = 1e-6);
 
   /// Applies one update using the accumulated gradients, then leaves the
   /// gradients untouched (call zero_grad() to clear them).
-  virtual void step() = 0;
+  void step();
 
   /// Zeroes all parameter gradients (one pool region from
-  /// la::kParallelAdamElements elements, like Adam::step).
+  /// la::kParallelAdamElements elements, like step()).
   void zero_grad();
 
   [[nodiscard]] const std::vector<Parameter*>& params() const {
     return params_;
   }
 
- protected:
+ private:
   /// Runs fn(parameter index, offset, length) over the element range
   /// [0, total) of the parameters laid end to end, split across the pool
   /// from la::kParallelAdamElements elements.
@@ -39,36 +40,6 @@ class Optimizer {
   std::vector<Parameter*> params_;
   /// offsets_[i] = elements of params_[0..i); offsets_.back() is the total.
   std::vector<std::size_t> offsets_;
-};
-
-/// SGD with optional momentum and decoupled weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, double lr, double momentum = 0.0,
-      double weight_decay = 0.0);
-  void step() override;
-
-  void set_lr(double lr) { lr_ = lr; }
-  [[nodiscard]] double lr() const { return lr_; }
-
- private:
-  double lr_;
-  double momentum_;
-  double weight_decay_;
-  std::vector<la::Matrix> velocity_;
-};
-
-/// Adam with decoupled weight decay (AdamW-style), bias-corrected.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Parameter*> params, double lr = 2e-4, double beta1 = 0.5,
-       double beta2 = 0.999, double eps = 1e-8, double weight_decay = 1e-6);
-  void step() override;
-
-  void set_lr(double lr) { lr_ = lr; }
-  [[nodiscard]] double lr() const { return lr_; }
-
- private:
   double lr_;
   double beta1_;
   double beta2_;

@@ -1,18 +1,16 @@
-// Training-level tests for fsda::nn: optimizers drive losses down, an MLP
-// learns a nonlinear decision boundary, serialization round-trips.
+// Training-level tests for fsda::nn: Adam drives losses down and an MLP
+// learns a nonlinear decision boundary; weight decay and gradient clipping
+// act as documented.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
-#include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
-#include "nn/serialize.hpp"
+#include "nn/sequential.hpp"
 
 namespace fsda::nn {
 namespace {
@@ -31,7 +29,7 @@ void make_xor(std::size_t n, common::Rng& rng, la::Matrix& x,
   }
 }
 
-double train_and_eval(Optimizer& opt, Sequential& net, const la::Matrix& x,
+double train_and_eval(Adam& opt, Sequential& net, const la::Matrix& x,
                       const std::vector<std::int64_t>& y,
                       std::size_t epochs) {
   for (std::size_t e = 0; e < epochs; ++e) {
@@ -54,19 +52,14 @@ TEST(TrainingTest, AdamLearnsXor) {
   la::Matrix x;
   std::vector<std::int64_t> y;
   make_xor(400, rng, x, y);
-  auto net = mlp_trunk(2, 2, {16, 16}, rng, Activation::Tanh);
-  Adam opt(net->parameters(), 5e-3, 0.9, 0.999, 1e-8, 0.0);
-  EXPECT_GT(train_and_eval(opt, *net, x, y, 400), 0.95);
-}
-
-TEST(TrainingTest, SgdWithMomentumLearnsXor) {
-  common::Rng rng(2);
-  la::Matrix x;
-  std::vector<std::int64_t> y;
-  make_xor(400, rng, x, y);
-  auto net = mlp_trunk(2, 2, {16, 16}, rng, Activation::Tanh);
-  Sgd opt(net->parameters(), 0.1, 0.9, 0.0);
-  EXPECT_GT(train_and_eval(opt, *net, x, y, 600), 0.95);
+  Sequential net;
+  net.emplace<Linear>(2, 16, rng);
+  net.emplace<Tanh>();
+  net.emplace<Linear>(16, 16, rng);
+  net.emplace<Tanh>();
+  net.emplace<Linear>(16, 2, rng);
+  Adam opt(net.parameters(), 5e-3, 0.9, 0.999, 1e-8, 0.0);
+  EXPECT_GT(train_and_eval(opt, net, x, y, 400), 0.95);
 }
 
 TEST(OptimizerTest, WeightDecayShrinksUnusedParameters) {
@@ -103,44 +96,6 @@ TEST(OptimizerTest, ClipIsNoOpUnderThreshold) {
   const la::Matrix before = layer.weight().grad;
   clip_grad_norm(layer.parameters(), 10.0);
   EXPECT_EQ(layer.weight().grad, before);
-}
-
-TEST(SerializeTest, RoundTripsThroughStream) {
-  common::Rng rng(6);
-  auto net = mlp_trunk(3, 2, {5}, rng);
-  auto clone = mlp_trunk(3, 2, {5}, rng);  // different random init
-  std::stringstream buffer;
-  save_parameters(buffer, net->parameters());
-  load_parameters(buffer, clone->parameters());
-  const la::Matrix x = la::Matrix::randn(4, 3, rng);
-  EXPECT_LT((net->forward(x, false) - clone->forward(x, false)).max_abs(),
-            1e-15);
-}
-
-TEST(SerializeTest, RejectsShapeMismatch) {
-  common::Rng rng(7);
-  auto net = mlp_trunk(3, 2, {5}, rng);
-  auto other = mlp_trunk(3, 2, {6}, rng);
-  std::stringstream buffer;
-  save_parameters(buffer, net->parameters());
-  EXPECT_THROW(load_parameters(buffer, other->parameters()),
-               common::IoError);
-}
-
-TEST(SerializeTest, RejectsBadMagic) {
-  common::Rng rng(8);
-  auto net = mlp_trunk(2, 2, {3}, rng);
-  std::stringstream buffer("not a parameter stream at all");
-  EXPECT_THROW(load_parameters(buffer, net->parameters()),
-               common::IoError);
-}
-
-TEST(MlpTrunkTest, OutputSizesAndValidation) {
-  common::Rng rng(9);
-  auto net = mlp_trunk(10, 3, {8, 4}, rng);
-  EXPECT_EQ(net->output_size(10), 3u);
-  EXPECT_THROW(mlp_trunk(0, 3, {8}, rng), common::InvariantError);
-  EXPECT_THROW(mlp_trunk(10, 3, {0}, rng), common::InvariantError);
 }
 
 }  // namespace

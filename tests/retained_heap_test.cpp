@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/autoencoder.hpp"
 #include "core/cgan.hpp"
 #include "core/pipeline.hpp"
+#include "core/vae.hpp"
 #include "data/dataset.hpp"
 #include "la/matrix.hpp"
 #include "models/neural.hpp"
@@ -169,6 +171,70 @@ TEST(RetainedHeapTest, FittedCganKeepsNoGradients) {
   EXPECT_LT(growth, 1.25 * weights_mib)
       << "a fitted CGAN kept its gradient buffers (" << weights_mib
       << " MiB of weights)";
+}
+
+/// Weights of the generator-shaped network the VAE decoder and the
+/// autoencoder both use: a skip Linear in -> out in parallel with an MLP
+/// in -> hidden -> hidden -> out.
+std::size_t generator_shaped_weights(std::size_t in, std::size_t hidden,
+                                     std::size_t out) {
+  return in * hidden + hidden + hidden * hidden + hidden + hidden * out +
+         out + in * out + out;
+}
+
+// A fitted VAE or autoencoder keeps only the weights reconstruct() runs:
+// the VAE's encoder is fit-local, and neither keeps gradient buffers.
+TEST(RetainedHeapTest, FittedVaeAndAutoencoderKeepOnlyServingWeights) {
+  SKIP_WITHOUT_HEAP_PROBE();
+  constexpr std::size_t kInv = 32;
+  constexpr std::size_t kVar = 40;
+  constexpr std::size_t kHidden = 128;
+  constexpr std::size_t kLatent = 12;
+  common::Rng rng(53);
+  const la::Matrix x_inv = random_matrix(128, kInv, rng);
+  const la::Matrix x_var = random_matrix(128, kVar, rng);
+  const std::vector<std::int64_t> labels(128, 0);
+  // The first fit of each kind warms every process-wide structure it
+  // touches; weights plus their gradients would be 2x, and the VAE's
+  // encoder about as much again, so a quarter covers allocator slack.
+  const auto expect_keeps_only = [&](const auto& fit_one,
+                                     std::size_t serving_weights,
+                                     const char* model) {
+    fit_one(5);
+    const std::size_t before = heap_in_use();
+    const auto fitted = fit_one(7);
+    const double growth = heap_growth_mib(before);
+    const double weights_mib =
+        static_cast<double>(serving_weights * sizeof(double)) / kMiB;
+    EXPECT_LT(growth, 1.25 * weights_mib)
+        << "a fitted " << model << " kept more than its serving weights ("
+        << weights_mib << " MiB)";
+  };
+
+  core::VaeOptions vae_opt;
+  vae_opt.hidden = {kHidden, kHidden};
+  vae_opt.latent_dim = kLatent;
+  vae_opt.epochs = 2;
+  expect_keeps_only(
+      [&](std::uint64_t seed) {
+        auto vae = std::make_unique<core::VaeReconstructor>(kInv, kVar,
+                                                            vae_opt, seed);
+        vae->fit(x_inv, x_var, labels, 1);
+        return vae;
+      },
+      generator_shaped_weights(kInv + kLatent, kHidden, kVar), "VAE");
+
+  core::AutoencoderOptions ae_opt;
+  ae_opt.hidden = {kHidden, kHidden};
+  ae_opt.epochs = 2;
+  expect_keeps_only(
+      [&](std::uint64_t seed) {
+        auto ae = std::make_unique<core::AutoencoderReconstructor>(
+            kInv, kVar, ae_opt, seed);
+        ae->fit(x_inv, x_var, labels, 1);
+        return ae;
+      },
+      generator_shaped_weights(kInv, kHidden, kVar), "autoencoder");
 }
 
 TEST(RetainedHeapTest, MlpPredictProbaKeepsNoScratch) {

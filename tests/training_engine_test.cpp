@@ -1,5 +1,6 @@
 // Training fast path (DESIGN.md section 12): backward-pass packed GEMM
-// kernels, the fused Adam sweep, and deterministic sharded minibatches.
+// kernels, the fused Adam sweep, and fits that are bit-identical on any
+// thread count.
 //
 // Pinned contracts:
 //   - gemm_grad_weights and the pack_transposed dX path match naive
@@ -7,11 +8,9 @@
 //     fewer than four output columns equals the std::fma chain bitwise;
 //   - fused_adam_update reproduces the reference Adam loop BITWISE over a
 //     100-step trajectory, on both the scalar and AVX2 kernels;
-//   - a sharded fit is bitwise identical whether the shards run serially or
-//     on the thread pool;
 //   - nn::Adam's pool sweep equals a serial per-parameter sweep bitwise,
-//     and a CGAN fit whose regions split across the pool equals the same
-//     fit run inline inside a pool task;
+//     and a CGAN, VAE or autoencoder fit whose regions split across the
+//     pool equals the same fit run inline inside a pool task;
 //   - a steady-state training loop allocates no matrices, batch norm and
 //     dropout included.
 #include <cmath>
@@ -36,7 +35,6 @@
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
-#include "nn/sharded.hpp"
 #include "nn/workspace.hpp"
 
 namespace fsda {
@@ -270,7 +268,7 @@ TEST(FusedAdam, PoolStepMatchesSerialSweepBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded training determinism.
+// Fit determinism across thread counts.
 
 struct GanFixture {
   la::Matrix x_inv;
@@ -315,7 +313,7 @@ void expect_params_bitwise_equal(nn::Sequential* a, nn::Sequential* b) {
   }
 }
 
-TEST(ShardedTraining, SkippingDiscriminatorGradsInGStepKeepsTrajectory) {
+TEST(CganSchedule, SkippingDiscriminatorGradsInGStepKeepsTrajectory) {
   // The generator step only consumes dX of the discriminator backward; its
   // dW/db were zeroed before the next D step without ever being read.
   // Skipping them must therefore keep the training trajectory within
@@ -364,41 +362,52 @@ TEST(PoolRegions, CganFitOnCallerMatchesFitInsidePoolTask) {
                               in_task.generator_network());
 }
 
-TEST(ShardedTraining, AutoencoderSerialThreadedBitwiseIdentical) {
-  const GanFixture f = make_gan_fixture(96, 5, 7);
-  core::AutoencoderOptions opts;
-  opts.hidden = {12, 12};
-  opts.epochs = 4;
-  opts.batch_size = 48;
-  opts.train_shards = 3;
-  opts.shard_threads = false;
-  core::AutoencoderReconstructor serial_ae(5, 7, opts, 11);
-  opts.shard_threads = true;
-  core::AutoencoderReconstructor threaded_ae(5, 7, opts, 11);
-  serial_ae.fit(f.x_inv, f.x_var, f.labels, 3);
-  threaded_ae.fit(f.x_inv, f.x_var, f.labels, 3);
-  EXPECT_TRUE(serial_ae.healthy());
-  ASSERT_EQ(serial_ae.last_loss(), threaded_ae.last_loss());
-  const la::Matrix a = serial_ae.reconstruct(f.x_inv);
-  const la::Matrix b = threaded_ae.reconstruct(f.x_inv);
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i]);
-  }
-}
+TEST(PoolRegions, VaeAndAutoencoderFitOnCallerMatchInsidePoolTask) {
+  // The VAE and autoencoder steps run the same row-parallel passes and
+  // Adam sweep as the CGAN; sized so the passes split across the pool.
+  const std::size_t inv = 32;
+  const std::size_t var = 40;
+  const GanFixture f = make_gan_fixture(128, inv, var);
+  const auto expect_bitwise_equal = [](const la::Matrix& a,
+                                       const la::Matrix& b) {
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.cols(), b.cols());
+    for (std::size_t i = 0; i < a.data().size(); ++i) {
+      ASSERT_EQ(a.data()[i], b.data()[i]) << "element " << i;
+    }
+  };
 
-TEST(ShardedTraining, VaeShardedFitStaysHealthy) {
-  const GanFixture f = make_gan_fixture(96, 5, 7);
-  core::VaeOptions opts;
-  opts.hidden = {12, 12};
-  opts.epochs = 4;
-  opts.batch_size = 48;
-  opts.train_shards = 0;  // auto: one shard per pool worker
-  core::VaeReconstructor vae(5, 7, opts, 21);
-  vae.fit(f.x_inv, f.x_var, f.labels, 3);
-  EXPECT_TRUE(vae.healthy());
-  EXPECT_TRUE(std::isfinite(vae.last_loss()));
-  const la::Matrix recon = vae.reconstruct(f.x_inv);
-  for (double v : recon.data()) ASSERT_TRUE(std::isfinite(v));
+  core::VaeOptions vae_opts;
+  vae_opts.hidden = {96, 96};
+  vae_opts.epochs = 2;
+  vae_opts.batch_size = 64;
+  ASSERT_GE(vae_opts.batch_size, 2 * la::kParallelPassRows);
+  core::VaeReconstructor vae_caller(inv, var, vae_opts, 17);
+  core::VaeReconstructor vae_task(inv, var, vae_opts, 17);
+  vae_caller.fit(f.x_inv, f.x_var, f.labels, 3);
+  common::ThreadPool::global()
+      .submit([&] { vae_task.fit(f.x_inv, f.x_var, f.labels, 3); })
+      .get();
+  EXPECT_TRUE(vae_caller.healthy());
+  ASSERT_EQ(vae_caller.last_loss(), vae_task.last_loss());
+  expect_bitwise_equal(vae_caller.reconstruct(f.x_inv),
+                       vae_task.reconstruct(f.x_inv));
+
+  core::AutoencoderOptions ae_opts;
+  ae_opts.hidden = {96, 96};
+  ae_opts.epochs = 2;
+  ae_opts.batch_size = 64;
+  ASSERT_GE(ae_opts.batch_size, 2 * la::kParallelPassRows);
+  core::AutoencoderReconstructor ae_caller(inv, var, ae_opts, 19);
+  core::AutoencoderReconstructor ae_task(inv, var, ae_opts, 19);
+  ae_caller.fit(f.x_inv, f.x_var, f.labels, 3);
+  common::ThreadPool::global()
+      .submit([&] { ae_task.fit(f.x_inv, f.x_var, f.labels, 3); })
+      .get();
+  EXPECT_TRUE(ae_caller.healthy());
+  ASSERT_EQ(ae_caller.last_loss(), ae_task.last_loss());
+  expect_bitwise_equal(ae_caller.reconstruct(f.x_inv),
+                       ae_task.reconstruct(f.x_inv));
 }
 
 // ---------------------------------------------------------------------------
