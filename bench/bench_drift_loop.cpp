@@ -350,7 +350,7 @@ int main(int argc, char** argv) {
   std::size_t failed_predictions = 0;
   {
     core::DriftLoop loop(pipeline, loop_options(options.fs, warmup, warm_readapt));
-    Harness h{&loop, &stream};
+    Harness h{&loop, &stream, 0, {}};
     // Warmup on the trained target regime; the detector (fitted on scaled
     // SOURCE) is suppressed until it rebaselines to the live window.
     loop.detector().suppress(warmup);
@@ -415,7 +415,7 @@ int main(int argc, char** argv) {
     core::DriftLoopOptions po = loop_options(options.fs, warmup, warm_readapt);
     po.validation.min_accuracy = 1.01;  // nothing can pass
     core::DriftLoop loop(pipeline, po);
-    Harness h{&loop, &stream};
+    Harness h{&loop, &stream, 0, {}};
     loop.detector().suppress(warmup);
     for (std::size_t i = 0; i < warmup; ++i) h.serve(stream.batch(3));
     FSDA_EVENT_INSTANT(obs::EventCategory::System, "bench.drift_injected", 4.0);

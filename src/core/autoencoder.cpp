@@ -156,8 +156,11 @@ void AutoencoderReconstructor::fit(const la::Matrix& x_inv,
 la::Matrix AutoencoderReconstructor::reconstruct(const la::Matrix& x_inv) {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_dim_);
-  nn::Workspace ws;  // call-local scoring scratch (DESIGN.md §7)
-  return net_->forward(x_inv, /*training=*/false, ws);
+  // Call-local scoring scratch, one row block deep (DESIGN.md §7).
+  la::Matrix out;
+  nn::Workspace ws;
+  nn::forward_rows_into(*net_, {x_inv}, out, ws);
+  return out;
 }
 
 }  // namespace fsda::core

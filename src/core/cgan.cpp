@@ -256,20 +256,23 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   // plateaus: a stride sample of the training rows paired with one fixed
   // noise draw, so successive epochs are scored on identical inputs.  The
   // epoch budget (warm_epochs for a warm attempt, epochs otherwise) is a cap.
-  la::Matrix hold_in;
+  // The holdout runs through the training workspace in blocks of at most
+  // `batch` rows, so scoring it never grows the step buffers; its whole
+  // output is gathered before the one MSE, so the stop epoch is the same as
+  // for a single pass.
+  la::Matrix hold_inv;
+  la::Matrix hold_noise;
   la::Matrix hold_var;
+  la::Matrix hold_fake;
   la::Matrix plateau_grad;
   {
     const std::size_t stride = std::max<std::size_t>(1, n / 256);
     std::vector<std::size_t> hold_rows;
     for (std::size_t r = 0; r < n; r += stride) hold_rows.push_back(r);
-    la::Matrix hold_inv;
     la::select_rows_into(x_inv, hold_rows, hold_inv);
     la::select_rows_into(x_var, hold_rows, hold_var);
     common::Rng hold_rng = rng_.split(0x401DULL);
-    la::Matrix hold_noise;
     sample_noise_into(hold_rows.size(), hold_noise, hold_rng);
-    la::hcat_into(hold_inv, hold_noise, hold_in);
   }
 
   // Hoisted once per fit; inc() per epoch is a gated atomic add.
@@ -394,8 +397,8 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
               epoch, stats.d_loss + stats.g_adv_loss + stats.g_recon_loss)) {
         return;  // diverged; parameters rolled back to last healthy snapshot
       }
-      const la::Matrix& hold_fake =
-          generator_->forward(hold_in, /*training=*/false, b.ws);
+      nn::forward_rows_into(*generator_, {hold_inv, hold_noise}, hold_fake,
+                            b.ws, batch);
       const double hold_mse = nn::mse_into(hold_fake, hold_var, plateau_grad);
       if (hold_mse < best_holdout - options_.plateau_min_delta) {
         best_holdout = hold_mse;
@@ -462,14 +465,15 @@ bool ConditionalGAN::warm_start_from(const Reconstructor& previous) {
 la::Matrix ConditionalGAN::reconstruct(const la::Matrix& x_inv) {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_dim_);
-  // Scoring scratch is local to the call (DESIGN.md §7): the generation
-  // keeps no batch-sized buffers between calls.
+  // Noise for every row is drawn first, in the order the stream has always
+  // been consumed; the generator then runs in row blocks, so the call-local
+  // scratch (DESIGN.md §7) is one block's activations, not the batch's.
   la::Matrix noise;
   sample_noise_into(x_inv.rows(), noise);
-  la::Matrix g_in;
-  la::hcat_into(x_inv, noise, g_in);
+  la::Matrix out;
   nn::Workspace ws;
-  return generator_->forward(g_in, /*training=*/false, ws);
+  nn::forward_rows_into(*generator_, {x_inv, noise}, out, ws);
+  return out;
 }
 
 }  // namespace fsda::core

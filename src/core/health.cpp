@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "la/kernels.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
@@ -157,9 +158,13 @@ bool TrainingSentinel::observe_epoch(std::size_t epoch, double loss) {
   }
   // Healthy epoch: refresh the rollback target on snapshot boundaries, but
   // only when the parameters themselves are clean (a finite loss can lag an
-  // already-poisoned weight matrix by a step).
+  // already-poisoned weight matrix by a step).  The copy goes into the
+  // snapshot's own matrices (same shapes since construction), so a snapshot
+  // epoch allocates nothing.
   if ((epoch + 1) % snapshot_every_ == 0 && parameters_finite(params_)) {
-    snapshot_ = capture_parameters(params_);
+    for (std::size_t i = 0; i < params_.size(); ++i) {
+      la::copy_into(params_[i]->value, snapshot_[i]);
+    }
   }
   return false;
 }

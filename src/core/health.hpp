@@ -128,9 +128,10 @@ class TrainingSentinel {
                    DivergenceMonitorOptions monitor_options,
                    std::size_t snapshot_every);
 
-  /// Feeds one epoch loss.  Healthy epochs on a snapshot boundary capture
-  /// the parameters; a divergent observation rolls back to the last healthy
-  /// snapshot and returns true (abort this attempt).
+  /// Feeds one epoch loss.  Healthy epochs on a snapshot boundary copy the
+  /// parameters into the snapshot's own matrices (no allocation); a
+  /// divergent observation rolls back to the last healthy snapshot and
+  /// returns true (abort this attempt).
   bool observe_epoch(std::size_t epoch, double loss);
 
   /// After an aborted attempt: true when the retry budget allows another

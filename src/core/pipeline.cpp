@@ -330,13 +330,16 @@ void FsGanPipeline::train(const data::Dataset& source,
                           sep.variant.end());
     // The classifier's training matrix is [real; view 1; view 2; view 3],
     // n rows per block in trained order, written in place into one
-    // allocation.
+    // allocation; the real block is gathered straight from the source.
     const std::size_t n = source_scaled_.rows();
     const std::size_t views = reconstructor != nullptr ? 3 : 0;
-    la::Matrix x_train =
-        la::Matrix::uninit((views + 1) * n, trained_order_.size());
-    la::copy_into(source_scaled_.select_cols(trained_order_),
-                  la::MatrixView(x_train).row_block(0, n));
+    const std::size_t width = trained_order_.size();
+    la::Matrix x_train = la::Matrix::uninit((views + 1) * n, width);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* src = source_scaled_.row(r).data();
+      double* dst = x_train.row(r).data();
+      for (std::size_t c = 0; c < width; ++c) dst[c] = src[trained_order_[c]];
+    }
     std::vector<std::int64_t> y_train;
     y_train.reserve((views + 1) * n);
     for (std::size_t block = 0; block <= views; ++block) {

@@ -228,13 +228,14 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
 la::Matrix VaeReconstructor::reconstruct(const la::Matrix& x_inv) {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_dim_);
-  // Scoring scratch is local to the call (DESIGN.md §7).
+  // Every row's latent draw first, in the stream's order; the decoder then
+  // runs in row blocks on call-local scratch (DESIGN.md §7).
   la::Matrix z(x_inv.rows(), latent_dim_);
   for (auto& v : z.data()) v = rng_.normal();
-  la::Matrix dec_in;
-  la::hcat_into(x_inv, z, dec_in);
+  la::Matrix out;
   nn::Workspace ws;
-  return decoder_->forward(dec_in, /*training=*/false, ws);
+  nn::forward_rows_into(*decoder_, {x_inv, z}, out, ws);
+  return out;
 }
 
 }  // namespace fsda::core

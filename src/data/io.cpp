@@ -1,6 +1,7 @@
 #include "data/io.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -75,9 +76,15 @@ void write_dataset_csv(const std::string& path, const Dataset& dataset,
   dataset.validate();
   common::CsvTable table;
   for (std::size_t c = 0; c < dataset.num_features(); ++c) {
-    table.header.push_back(dataset.feature_names.empty()
-                               ? "f" + std::to_string(c)
-                               : dataset.feature_names[c]);
+    if (dataset.feature_names.empty()) {
+      // Appended, not `"f" + std::to_string(c)`: GCC 12's -O3 -Wrestrict
+      // misfires on that form.
+      std::string name = "f";
+      name += std::to_string(c);
+      table.header.push_back(std::move(name));
+    } else {
+      table.header.push_back(dataset.feature_names[c]);
+    }
   }
   table.header.push_back(label_column);
   table.rows.reserve(dataset.size());

@@ -63,6 +63,13 @@ inline constexpr std::size_t kParallelAdamElements = std::size_t{1} << 13;
 /// is one block.
 inline constexpr std::size_t kParallelPassRows = 12;
 
+/// Rows per block of nn::forward_rows_into, the eval-mode forward every
+/// whole-matrix scoring call runs (reconstruct(), predict_proba()): a call
+/// over m rows runs ceil(m / kForwardBlockRows) passes on one workspace, so
+/// its activations take one block's memory whatever m is.  Each block still
+/// spans ~11 pass blocks, enough to keep a 4-way pool busy.
+inline constexpr std::size_t kForwardBlockRows = 128;
+
 /// Instruction-set choice for gemm_packed.  Auto resolves to Avx2 when the
 /// CPU supports AVX2+FMA, Scalar otherwise.
 enum class GemmIsa { Auto, Scalar, Avx2 };

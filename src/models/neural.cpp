@@ -135,12 +135,13 @@ void MLPClassifier::fine_tune(const la::Matrix& x,
 la::Matrix MLPClassifier::predict_proba(const la::Matrix& x) const {
   FSDA_CHECK_MSG(net_ != nullptr, "predict before fit");
   FSDA_CHECK_MSG(x.cols() == num_features_, "feature width mismatch");
-  // Call-local scoring scratch (DESIGN.md §7): a trained classifier keeps no
-  // batch-sized buffers between calls.
+  // Call-local scoring scratch, one row block deep (DESIGN.md §7): a
+  // trained classifier keeps no batch-sized buffers between calls.
+  la::Matrix proba;
   nn::Workspace ws;
-  const la::Matrix& logits =
-      const_cast<nn::Sequential&>(*net_).forward(x, /*training=*/false, ws);
-  return nn::softmax_rows(logits);
+  nn::forward_rows_into(const_cast<nn::Sequential&>(*net_), {x}, proba, ws);
+  nn::softmax_rows_into(proba, proba);
+  return proba;
 }
 
 }  // namespace fsda::models

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "la/gemm.hpp"
 #include "la/kernels.hpp"
@@ -21,6 +22,8 @@ namespace {
 // layer implementation uses for itself.
 constexpr int kLegacyForwardSlot = 1 << 20;
 constexpr int kLegacyBackwardSlot = kLegacyForwardSlot + 1;
+// forward_rows_into's staging buffer, keyed on the network it feeds.
+constexpr int kRowBlockInputSlot = kLegacyForwardSlot + 2;
 
 /// Runs fn(i) for every i in [0, items) on `parts` participants of one pool
 /// region, each first running start(participant) (participant 0 is the
@@ -148,6 +151,34 @@ const la::Matrix& Layer::backward(const la::Matrix& grad_output,
   const la::Matrix& grad = stage_backward(grad_output, ws, pass);
   pass.finish();
   return grad;
+}
+
+void forward_rows_into(Layer& net,
+                       std::initializer_list<la::ConstMatrixView> parts,
+                       la::Matrix& out, Workspace& ws,
+                       std::size_t block_rows) {
+  FSDA_CHECK_MSG(parts.size() > 0 && block_rows > 0,
+                 "forward_rows_into needs an input and a block size");
+  const std::size_t rows = parts.begin()->rows();
+  std::size_t cols = 0;
+  for (const la::ConstMatrixView& part : parts) {
+    FSDA_CHECK_MSG(part.rows() == rows, "forward_rows_into: parts differ in "
+                                        "row count");
+    cols += part.cols();
+  }
+  out.resize(rows, net.output_size(cols));
+  for (std::size_t r0 = 0; r0 < rows; r0 += block_rows) {
+    const std::size_t m = std::min(block_rows, rows - r0);
+    la::Matrix& in = ws.buffer(&net, kRowBlockInputSlot, m, cols);
+    std::size_t c0 = 0;
+    for (const la::ConstMatrixView& part : parts) {
+      la::copy_into(part.row_block(r0, m),
+                    la::MatrixView(in).col_block(c0, part.cols()));
+      c0 += part.cols();
+    }
+    la::copy_into(net.forward(in, /*training=*/false, ws),
+                  la::MatrixView(out).row_block(r0, m));
+  }
 }
 
 Workspace& Layer::own_workspace() {

@@ -30,7 +30,9 @@
 // Ownership (DESIGN.md §7): workspaces hold every batch-sized buffer, a fit
 // owns its training workspace, and a scoring call owns its scratch, so a
 // trained network keeps no batch memory once the call that sized it
-// returns.  Returned references point into workspace-owned buffers, so a
+// returns.  Whole-matrix scoring calls run through forward_rows_into(), so
+// that scratch is bounded by a row block, not by the call's row count.
+// Returned references point into workspace-owned buffers, so a
 // steady-state training step allocates nothing.  The value-returning
 // forward(input, training) / backward(grad) API remains as wrappers that
 // route through a private per-layer workspace; it is convenient for tests
@@ -47,11 +49,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "la/gemm.hpp"
 #include "la/matrix.hpp"
+#include "la/view.hpp"
 #include "nn/workspace.hpp"
 
 namespace fsda::nn {
@@ -268,5 +273,20 @@ std::vector<Parameter*> collect_parameters(
 
 /// Zeroes all gradients in a parameter list.
 void zero_gradients(const std::vector<Parameter*>& params);
+
+/// Eval-mode forward of `net` over [parts[0] | parts[1] | ...] (the parts
+/// side by side, equal row counts) into `out`, resized to rows x
+/// net.output_size(total width).  Rows run in blocks of at most
+/// `block_rows`: each block's input is assembled into one staging buffer of
+/// `ws`, carried through `net` on `ws`, and copied into its rows of `out`,
+/// so the call's scratch is one block deep whatever the row count
+/// (DESIGN.md §7).  Every eval-mode layer is row-local -- batch norm reads
+/// its running statistics, dropout is the identity, and a GEMM element's
+/// accumulation chain does not depend on the rows around it -- so `out` is
+/// bit-identical to one forward over all rows.
+void forward_rows_into(Layer& net,
+                       std::initializer_list<la::ConstMatrixView> parts,
+                       la::Matrix& out, Workspace& ws,
+                       std::size_t block_rows = la::kForwardBlockRows);
 
 }  // namespace fsda::nn

@@ -30,7 +30,12 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string json_string(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  // Quoted in place, not as `"\"" + std::string`: GCC 12's -O3 -Wrestrict
+  // misfires on that form.
+  std::string out = json_escape(s);
+  out.insert(out.begin(), '"');
+  out += '"';
+  return out;
 }
 
 std::string json_number(double v) {

@@ -1,14 +1,20 @@
-// Retained-heap regression tests: a trained model keeps only what it serves.
+// Retained-heap and peak-heap regression tests: a trained model keeps only
+// what it serves, and a call holds only a row block of scratch while it runs.
 // Training scratch belongs to fit() and scoring scratch to the scoring call
 // (DESIGN.md §7), so neither a large scoring call nor a second trained
-// pipeline may leave batch-sized buffers behind on the heap.  Measured with
-// glibc's mallinfo2() in-use byte counts; skipped off glibc and under
+// pipeline may leave batch-sized buffers behind on the heap, and a scoring
+// call or a fit's holdout check may not size its scratch by its row count.
+// What remains after a call is measured with glibc's mallinfo2() in-use
+// byte counts; the high-water mark during a call, with a counting global
+// operator new/delete defined below.  Both are skipped off glibc and under
 // AddressSanitizer/ThreadSanitizer, whose allocators glibc does not see.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -38,6 +44,40 @@
 #define FSDA_HEAP_PROBE 0
 #endif
 
+namespace {
+// Bytes held by live operator-new blocks (usable sizes, so a block counts
+// the same when it is freed) and their high-water mark since the last
+// reset_heap_peak().
+std::atomic<std::size_t> g_live_bytes{0};
+std::atomic<std::size_t> g_peak_bytes{0};
+}  // namespace
+
+#if FSDA_HEAP_PROBE
+// Counting replacements of the global allocation functions.  The array,
+// nothrow and sized forms of the standard library forward to these two.
+void* operator new(std::size_t size) {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  const std::size_t live =
+      g_live_bytes.fetch_add(malloc_usable_size(p),
+                             std::memory_order_relaxed) +
+      malloc_usable_size(p);
+  std::size_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
+}
+
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+#endif
+
 namespace fsda {
 namespace {
 
@@ -64,6 +104,24 @@ double heap_growth_mib(std::size_t before) {
       kMiB;
   ::testing::Test::RecordProperty("heap_growth_mib", std::to_string(growth));
   return growth;
+}
+
+/// Restarts the high-water mark at the bytes live now, and returns them.
+std::size_t reset_heap_peak() {
+  const std::size_t live = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_bytes.store(live, std::memory_order_relaxed);
+  return live;
+}
+
+/// High-water mark since reset_heap_peak() returned `base`, in MiB above
+/// it; recorded as the test's `<label>_peak_mib` property.
+double heap_peak_mib(std::size_t base, const std::string& label) {
+  const double peak =
+      static_cast<double>(g_peak_bytes.load(std::memory_order_relaxed) -
+                          base) /
+      kMiB;
+  ::testing::Test::RecordProperty(label + "_peak_mib", std::to_string(peak));
+  return peak;
 }
 
 #define SKIP_WITHOUT_HEAP_PROBE()                                      \
@@ -125,6 +183,127 @@ TEST(RetainedHeapTest, CganReconstructKeepsNoScratch) {
   }
   EXPECT_LT(heap_growth_mib(before), 1.0)
       << "reconstruct() left batch-sized scratch on the heap";
+}
+
+// A scoring call holds one row block of scratch while it runs
+// (nn::forward_rows_into), so a 4096-row reconstruct() peaks at its output
+// and its noise plus that block.  Run over all rows at once, the same calls
+// held every layer's 4096-row output: 4.6-9.2 MiB above the baseline here.
+TEST(PeakHeapTest, ReconstructPeaksOneRowBlockAboveItsOutput) {
+  SKIP_WITHOUT_HEAP_PROBE();
+  constexpr std::size_t kInv = 8;
+  constexpr std::size_t kVar = 4;
+  constexpr std::size_t kNoise = 4;
+  common::Rng rng(59);
+  const la::Matrix x_inv = random_matrix(128, kInv, rng);
+  const la::Matrix x_var = random_matrix(128, kVar, rng);
+  std::vector<std::int64_t> labels(128);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<std::int64_t>(i % 2);
+  }
+  const la::Matrix big = random_matrix(kScoreRows, kInv, rng);
+  const auto expect_one_block = [&](core::Reconstructor& model,
+                                    std::size_t noise_cols,
+                                    const std::string& label) {
+    model.fit(x_inv, x_var, labels, 2);
+    (void)model.reconstruct(x_inv);  // warms process-wide structures
+    const std::size_t base = reset_heap_peak();
+    {
+      const la::Matrix out = model.reconstruct(big);
+      ASSERT_EQ(out.rows(), kScoreRows);
+    }
+    const double kept_mib =
+        static_cast<double>(kScoreRows * (kVar + noise_cols) *
+                            sizeof(double)) /
+        kMiB;
+    EXPECT_LT(heap_peak_mib(base, label), kept_mib + 1.0)
+        << label << " reconstruct() held more than one row block of "
+        << "scratch above its output and noise (" << kept_mib << " MiB)";
+  };
+
+  core::CganOptions gan_opt;
+  gan_opt.hidden = {32, 32};
+  gan_opt.noise_dim = kNoise;
+  gan_opt.epochs = 2;
+  core::ConditionalGAN gan(kInv, kVar, gan_opt, 7);
+  expect_one_block(gan, kNoise, "cgan");
+
+  core::VaeOptions vae_opt;
+  vae_opt.hidden = {32, 32};
+  vae_opt.latent_dim = kNoise;
+  vae_opt.epochs = 2;
+  core::VaeReconstructor vae(kInv, kVar, vae_opt, 7);
+  expect_one_block(vae, kNoise, "vae");
+
+  core::AutoencoderOptions ae_opt;
+  ae_opt.hidden = {32, 32};
+  ae_opt.epochs = 2;
+  core::AutoencoderReconstructor ae(kInv, kVar, ae_opt, 7);
+  expect_one_block(ae, 0, "autoencoder");
+}
+
+// The plateau holdout runs through the training workspace in blocks of at
+// most the fit's batch, so a holdout larger than the batch does not grow the
+// generator's step buffers: the fit peaks no higher than the same fit with a
+// holdout of batch size, apart from the larger holdout's own rows.  Scored
+// in one pass, the 256-row holdout grew those buffers by ~3 MiB here.
+TEST(PeakHeapTest, CganHoldoutLargerThanBatchPeaksNoHigher) {
+  SKIP_WITHOUT_HEAP_PROBE();
+  constexpr std::size_t kInv = 8;
+  constexpr std::size_t kVar = 4;
+  constexpr std::size_t kNoise = 4;
+  constexpr std::size_t kClasses = 2;
+  constexpr std::size_t kBatch = 64;
+  // Up to 511 training rows the holdout is every row.
+  constexpr std::size_t kLargeHoldout = 256;
+  common::Rng rng(61);
+  const la::Matrix inv_large = random_matrix(kLargeHoldout, kInv, rng);
+  const la::Matrix var_large = random_matrix(kLargeHoldout, kVar, rng);
+  std::vector<std::int64_t> labels_large(kLargeHoldout);
+  for (std::size_t i = 0; i < labels_large.size(); ++i) {
+    labels_large[i] = static_cast<std::int64_t>(i % kClasses);
+  }
+  std::vector<std::size_t> first_batch(kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) first_batch[i] = i;
+  const la::Matrix inv_batch = inv_large.select_rows(first_batch);
+  const la::Matrix var_batch = var_large.select_rows(first_batch);
+  const std::vector<std::int64_t> labels_batch(
+      labels_large.begin(), labels_large.begin() + kBatch);
+
+  core::CganOptions opt;
+  opt.hidden = {256, 256};
+  opt.noise_dim = kNoise;
+  opt.batch_size = kBatch;
+  opt.epochs = 3;
+  const auto fit_peak_mib = [&](const la::Matrix& x_inv,
+                                const la::Matrix& x_var,
+                                const std::vector<std::int64_t>& labels,
+                                const std::string& label) {
+    const std::size_t base = reset_heap_peak();
+    {
+      core::ConditionalGAN gan(kInv, kVar, opt, 7);
+      gan.fit(x_inv, x_var, labels, kClasses);
+    }
+    return heap_peak_mib(base, label);
+  };
+  // The first fit warms every process-wide structure the fit touches.
+  fit_peak_mib(inv_batch, var_batch, labels_batch, "warm_up");
+  const double batch_holdout =
+      fit_peak_mib(inv_batch, var_batch, labels_batch, "batch_holdout");
+  const double large_holdout =
+      fit_peak_mib(inv_large, var_large, labels_large, "large_holdout");
+  // The extra rows' own fit-local matrices: the holdout's input, noise,
+  // target, output and MSE gradient, the one-hot labels and the shuffle
+  // order; plus 64 KiB of allocator rounding.
+  const double extra_rows_mib =
+      static_cast<double>((kLargeHoldout - kBatch) *
+                          ((kInv + kNoise + 3 * kVar + kClasses) *
+                               sizeof(double) +
+                           2 * sizeof(std::size_t))) /
+          kMiB +
+      1.0 / 16.0;
+  EXPECT_LE(large_holdout, batch_holdout + extra_rows_mib)
+      << "a holdout larger than the batch grew the fit's step buffers";
 }
 
 // A fitted CGAN keeps its weights, not its gradient buffers: nothing reads

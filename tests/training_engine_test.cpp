@@ -13,6 +13,7 @@
 //     pool equals the same fit run inline inside a pool task;
 //   - a steady-state training loop allocates no matrices, batch norm and
 //     dropout included.
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <memory>
@@ -542,6 +543,44 @@ TEST(TrainingAllocations, SteadyStateStepAllocatesNothing) {
   for (int i = 0; i < 1000; ++i) bn_step();
   EXPECT_EQ(la::matrix_allocations(), bn_before)
       << "batch-norm + dropout steps must not allocate after warm-up";
+}
+
+// A snapshot epoch copies the parameters into the snapshot the sentinel
+// already holds: no matrix is allocated, and a later rollback restores the
+// values of that epoch.
+TEST(TrainingAllocations, SnapshotEpochAllocatesNothing) {
+  common::Rng rng(607);
+  nn::Sequential net;
+  net.emplace<nn::Linear>(32, 64, rng);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Linear>(64, 8, rng);
+  const std::vector<nn::Parameter*> params = net.parameters();
+  core::TrainingSentinel sentinel(params, common::RetryPolicy{},
+                                  core::DivergenceMonitorOptions{},
+                                  /*snapshot_every=*/1);
+  const auto shift_all = [&](double delta) {
+    for (nn::Parameter* p : params) {
+      for (double& v : p->value.data()) v += delta;
+      p->bump_version();
+    }
+  };
+  shift_all(0.5);
+  const std::vector<la::Matrix> at_snapshot = core::capture_parameters(params);
+
+  const std::size_t before = la::matrix_allocations();
+  ASSERT_FALSE(sentinel.observe_epoch(0, 1.0));
+  EXPECT_EQ(la::matrix_allocations(), before)
+      << "a snapshot epoch allocated a matrix";
+
+  shift_all(0.25);
+  ASSERT_TRUE(sentinel.observe_epoch(1, std::nan("")));
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const auto restored = params[i]->value.data();
+    const auto expected = at_snapshot[i].data();
+    ASSERT_TRUE(std::equal(restored.begin(), restored.end(), expected.begin(),
+                           expected.end()))
+        << "rollback did not restore parameter " << i;
+  }
 }
 
 }  // namespace
