@@ -15,10 +15,11 @@
 //      Reports offered/accepted/shed rates and the end-to-end latency of
 //      ADMITTED requests, whose p99 must stay within the configured SLO
 //      (that is the point of shedding at the door).
-//   3. mid-run hot-swap -- phase 1(b) runs with a publisher thread
-//      republishing the active generation every ~150 ms; every response is
-//      validated (finite, correct shape, probabilities summing to 1), and
-//      the run must finish with zero failed or invalid responses.
+//   3. mid-run hot-swap -- phase 1(b) runs with a thread rolling the
+//      registry back and forth between two published generations every
+//      ~150 ms; every response is validated (finite, correct shape,
+//      probabilities summing to 1), and the run must finish with zero
+//      failed or invalid responses.
 //
 // Writes one JSON line to BENCH_serving.json and a flight-recorder journal
 // + Perfetto trace (BENCH_serving_journal.jsonl / BENCH_serving_trace.json)
@@ -306,6 +307,15 @@ int main() {
   print_closed("batch=1", batch1);
 
   // -- Phase 1b + 3: closed-loop adaptive, hot-swaps injected mid-run -------
+  // A second published generation for the swapper to roll back and forth to.
+  const core::CandidateOutcome second =
+      pipeline.build_candidate_generation(shots, pipeline.options().fs);
+  if (second.generation == nullptr) {
+    std::fprintf(stderr, "bench_serving: no second generation: %s\n",
+                 second.reason.c_str());
+    return 1;
+  }
+  pipeline.promote_generation(second.generation);
   ClosedLoopResult adaptive;
   std::uint64_t swaps = 0;
   {
@@ -317,9 +327,9 @@ int main() {
       while (!stop_swapper.load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(150));
         if (stop_swapper.load(std::memory_order_relaxed)) break;
-        // Republishes the active generation (fresh ModelGeneration, fresh
-        // session): serving slots must rebind transparently.
-        pipeline.set_serving_plans_enabled(true);
+        // Swaps the active and previous generations: serving slots must
+        // rebind transparently.
+        pipeline.registry().rollback();
         ++swaps;
       }
     });

@@ -1,7 +1,7 @@
-// Shared measurement harness for the packed serving path: single-sample
-// latency quantiles and micro-batch throughput, measured for both the
-// packed-plan session and the layer-API fallback on the same trained
-// pipeline (bench_inference and `fsda_cli serve-bench` both use it).
+// Shared measurement harness for the serving path: single-sample latency
+// quantiles and micro-batch throughput of a trained pipeline's session
+// (`fsda_cli serve-bench`), plus the latency-histogram helpers
+// bench_serving reports through.
 //
 // Latencies go through an obs::HdrHistogram (record_always -- bench runs
 // keep the telemetry gate off) instead of a sorted sample: quantiles come
@@ -52,16 +52,8 @@ struct PathStats {
   double samples_per_sec = 0.0;
 };
 
-struct ServingBenchResult {
-  PathStats packed;
-  PathStats baseline;
-  std::size_t single_iters = 0;
-  std::size_t batch_rows = 0;
-  std::size_t batch_reps = 0;
-};
-
-/// Measures whatever path the pipeline currently routes through.  Rows of
-/// `test` are cycled so successive calls do not hit identical inputs.
+/// Measures the pipeline's serving path.  Rows of `test` are cycled so
+/// successive calls do not hit identical inputs.
 inline PathStats measure_serving_path(core::FsGanPipeline& pipeline,
                                       const la::Matrix& test,
                                       std::size_t single_iters,
@@ -102,27 +94,6 @@ inline PathStats measure_serving_path(core::FsGanPipeline& pipeline,
         secs > 0.0 ? static_cast<double>(rows * batch_reps) / secs : 0.0;
   }
   return stats;
-}
-
-/// Packed vs. layer-API comparison on one trained pipeline.  Leaves the
-/// packed plans re-enabled afterwards.
-inline ServingBenchResult run_serving_bench(core::FsGanPipeline& pipeline,
-                                            const la::Matrix& test,
-                                            std::size_t single_iters,
-                                            std::size_t batch_rows,
-                                            std::size_t batch_reps) {
-  ServingBenchResult out;
-  out.single_iters = single_iters;
-  out.batch_rows = std::min(batch_rows, test.rows());
-  out.batch_reps = batch_reps;
-  pipeline.set_serving_plans_enabled(true);
-  out.packed =
-      measure_serving_path(pipeline, test, single_iters, batch_rows, batch_reps);
-  pipeline.set_serving_plans_enabled(false);
-  out.baseline =
-      measure_serving_path(pipeline, test, single_iters, batch_rows, batch_reps);
-  pipeline.set_serving_plans_enabled(true);
-  return out;
 }
 
 }  // namespace fsda::bench

@@ -153,6 +153,11 @@ void AutoencoderReconstructor::fit(const la::Matrix& x_inv,
   fitted_ = true;
 }
 
+ServingStage AutoencoderReconstructor::serving_stage() {
+  FSDA_CHECK_MSG(fitted_, "serving_stage before fit");
+  return {net_.get(), 0, nullptr, nullptr};
+}
+
 la::Matrix AutoencoderReconstructor::reconstruct(const la::Matrix& x_inv) {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_dim_);

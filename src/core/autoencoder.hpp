@@ -36,6 +36,8 @@ class AutoencoderReconstructor : public Reconstructor {
            std::size_t num_classes) override;
   la::Matrix reconstruct(const la::Matrix& x_inv) override;
   [[nodiscard]] std::string name() const override { return "VanillaAE"; }
+  /// The network over x_inv alone: no noise block.
+  [[nodiscard]] ServingStage serving_stage() override;
 
   [[nodiscard]] double last_loss() const { return last_loss_; }
 

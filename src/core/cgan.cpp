@@ -462,6 +462,11 @@ bool ConditionalGAN::warm_start_from(const Reconstructor& previous) {
   return true;
 }
 
+ServingStage ConditionalGAN::serving_stage() {
+  FSDA_CHECK_MSG(fitted_, "serving_stage before fit");
+  return {generator_.get(), noise_dim_, &rng_, nullptr};
+}
+
 la::Matrix ConditionalGAN::reconstruct(const la::Matrix& x_inv) {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_dim_);

@@ -100,20 +100,11 @@ class ConditionalGAN : public Reconstructor {
   }
   [[nodiscard]] std::size_t noise_dim() const { return noise_dim_; }
 
-  /// Fills `z` with rows x noise_dim N(0,1) draws from the GAN's own rng
-  /// stream.  Public so the serving path (core/inference_session.hpp) can
-  /// consume the stream in exactly the order reconstruct() would, keeping
-  /// packed and layer-API predictions on the same noise sequence.
-  void sample_noise_into(std::size_t rows, la::Matrix& z);
+  /// The generator over [x_inv | z], noise_dim, and the GAN's own stream.
+  [[nodiscard]] ServingStage serving_stage() override;
 
-  /// Same draw shape, but from a caller-owned rng stream; const, so
-  /// concurrent serve contexts can sample noise without touching (or
-  /// racing on) the GAN's own stream.
-  void sample_noise_into(std::size_t rows, la::Matrix& z,
-                         common::Rng& rng) const;
-
-  /// The trained generator network, or nullptr before fit(); used by the
-  /// inference-plan compiler.  The pointer is invalidated by the next fit().
+  /// The trained generator network, or nullptr before fit().  The pointer
+  /// is invalidated by the next fit().
   [[nodiscard]] nn::Sequential* generator_network() {
     return fitted_ ? generator_.get() : nullptr;
   }
@@ -143,6 +134,12 @@ class ConditionalGAN : public Reconstructor {
   [[nodiscard]] bool warm_started() const override { return warm_started_; }
 
  private:
+  /// Fills `z` with rows x noise_dim N(0,1) draws, row-major, from the
+  /// GAN's own stream (or from `rng`).
+  void sample_noise_into(std::size_t rows, la::Matrix& z);
+  void sample_noise_into(std::size_t rows, la::Matrix& z,
+                         common::Rng& rng) const;
+
   [[nodiscard]] la::Matrix one_hot(const std::vector<std::int64_t>& labels,
                                    std::size_t num_classes) const;
 

@@ -267,19 +267,27 @@ void MeanImputeReconstructor::fit(const la::Matrix& x_inv,
 }
 
 la::Matrix MeanImputeReconstructor::reconstruct(const la::Matrix& x_inv) {
+  la::Matrix out = la::Matrix::uninit(x_inv.rows(), var_means_.cols());
+  impute_rows(x_inv, out);
+  return out;
+}
+
+void MeanImputeReconstructor::impute_rows(la::ConstMatrixView x_inv,
+                                          la::MatrixView out) const {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_means_.cols());
-  la::Matrix out(x_inv.rows(), var_means_.cols());
+  FSDA_CHECK(out.rows() == x_inv.rows() && out.cols() == var_means_.cols());
   for (std::size_t r = 0; r < x_inv.rows(); ++r) {
     // Nearest class centroid in invariant space; non-finite inputs are
     // skipped in the distance so partially corrupt rows still resolve.
+    const double* in = x_inv.row_data(r);
     std::size_t best_class = 0;
     double best_dist = std::numeric_limits<double>::max();
     for (std::size_t c = 0; c < inv_means_.rows(); ++c) {
       if (!class_present_[c]) continue;
       double dist = 0.0;
       for (std::size_t f = 0; f < x_inv.cols(); ++f) {
-        const double v = x_inv(r, f);
+        const double v = in[f];
         if (!std::isfinite(v)) continue;
         const double d = v - inv_means_(c, f);
         dist += d * d;
@@ -289,11 +297,11 @@ la::Matrix MeanImputeReconstructor::reconstruct(const la::Matrix& x_inv) {
         best_class = c;
       }
     }
+    double* dst = out.row_data(r);
     for (std::size_t f = 0; f < var_means_.cols(); ++f) {
-      out(r, f) = var_means_(best_class, f);
+      dst[f] = var_means_(best_class, f);
     }
   }
-  return out;
 }
 
 }  // namespace fsda::core

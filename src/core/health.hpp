@@ -203,6 +203,16 @@ class MeanImputeReconstructor : public Reconstructor {
 
   [[nodiscard]] la::Matrix reconstruct(const la::Matrix& x_inv) override;
 
+  /// reconstruct()'s body: writes each row of `x_inv`'s imputed variant
+  /// block into `out`.  Const and stateless, so concurrent serving
+  /// contexts call it directly.
+  void impute_rows(la::ConstMatrixView x_inv, la::MatrixView out) const;
+
+  /// No network: sessions call impute_rows.
+  [[nodiscard]] ServingStage serving_stage() override {
+    return {nullptr, 0, nullptr, this};
+  }
+
   [[nodiscard]] std::string name() const override { return "MeanImpute"; }
 
  private:

@@ -7,7 +7,8 @@
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
-#include "core/cgan.hpp"
+#include "core/health.hpp"
+#include "la/kernels.hpp"
 #include "la/view.hpp"
 #include "models/neural.hpp"
 #include "obs/metrics.hpp"
@@ -68,35 +69,44 @@ AssemblyMap AssemblyMap::build(const std::vector<std::size_t>& trained_order,
 }
 
 std::unique_ptr<InferenceSession> InferenceSession::build(
-    models::Classifier& classifier, Reconstructor* reconstructor,
+    std::shared_ptr<const models::Classifier> classifier,
+    std::size_t num_classes, Reconstructor* reconstructor,
     const SeparationResult& sep, const AssemblyMap& map,
     std::size_t monte_carlo_m, bool use_reconstruction) {
-  auto* mlp = dynamic_cast<models::MLPClassifier*>(&classifier);
-  if (mlp == nullptr || mlp->network() == nullptr) return nullptr;
-  auto clf_plan = nn::InferencePlan::compile(*mlp->network(),
-                                             mlp->num_features(),
-                                             /*append_softmax=*/true);
-  if (!clf_plan.has_value()) return nullptr;
-  if (map.src.size() != clf_plan->in_features() ||
-      map.from_recon.size() != map.src.size()) {
-    return nullptr;
+  FSDA_CHECK_MSG(classifier != nullptr, "InferenceSession over no classifier");
+  FSDA_CHECK(map.from_recon.size() == map.src.size());
+  std::optional<nn::InferencePlan> clf_plan;
+  const auto* mlp =
+      dynamic_cast<const models::MLPClassifier*>(classifier.get());
+  if (mlp != nullptr && mlp->network() != nullptr) {
+    clf_plan = nn::InferencePlan::compile(*mlp->network(),
+                                          mlp->num_features(),
+                                          /*append_softmax=*/true);
+  }
+  if (clf_plan.has_value()) {
+    FSDA_CHECK(clf_plan->out_features() == num_classes);
+    FSDA_CHECK_MSG(map.src.size() == clf_plan->in_features(),
+                   "assembly map has " << map.src.size()
+                                       << " columns, classifier takes "
+                                       << clf_plan->in_features());
   }
 
   std::unique_ptr<InferenceSession> s(new InferenceSession());
-  s->num_classes_ = mlp->num_classes();
+  s->num_classes_ = num_classes;
   s->monte_carlo_m_ = std::max<std::size_t>(monte_carlo_m, 1);
-  s->clf_plan_ = std::move(clf_plan);
+  if (clf_plan.has_value()) {
+    s->clf_plan_ = std::move(clf_plan);
+  } else {
+    s->classifier_ = std::move(classifier);
+  }
   s->map_ = map;
 
-  const bool needs_recon =
-      use_reconstruction &&
+  const bool any_recon =
       std::any_of(map.from_recon.begin(), map.from_recon.end(),
                   [](char c) { return c != 0; });
-  if (!needs_recon) {
-    if (std::any_of(map.from_recon.begin(), map.from_recon.end(),
-                    [](char c) { return c != 0; })) {
-      return nullptr;  // map asks for reconstructed columns we can't serve
-    }
+  if (!use_reconstruction || !any_recon) {
+    FSDA_CHECK_MSG(!any_recon,
+                   "assembly map asks for reconstructed columns in FS mode");
     s->cols_ = map.src;
     bool contiguous = true;
     for (std::size_t j = 0; j < s->cols_.size(); ++j) {
@@ -109,24 +119,34 @@ std::unique_ptr<InferenceSession> InferenceSession::build(
     return s;
   }
 
-  auto* gan = dynamic_cast<ConditionalGAN*>(reconstructor);
-  if (gan == nullptr || gan->generator_network() == nullptr) return nullptr;
-  if (gan->inv_dim() != sep.invariant.size() ||
-      gan->var_dim() != sep.variant.size()) {
-    return nullptr;
+  FSDA_CHECK_MSG(reconstructor != nullptr,
+                 "assembly map asks for reconstructed columns of no "
+                 "reconstructor");
+  const ServingStage stage = reconstructor->serving_stage();
+  const std::size_t inv = sep.invariant.size();
+  s->var_dim_ = sep.variant.size();
+  s->noise_dim_ = stage.noise_dim;
+  s->noise_stream_ = stage.noise_stream;
+  FSDA_CHECK(s->noise_dim_ == 0 || s->noise_stream_ != nullptr);
+  if (stage.net != nullptr) {
+    s->gen_plan_ = nn::InferencePlan::compile(*stage.net, inv + s->noise_dim_);
+    FSDA_CHECK_MSG(s->gen_plan_.has_value(),
+                   reconstructor->name() << " network does not compile");
+    FSDA_CHECK_MSG(s->gen_plan_->out_features() == s->var_dim_,
+                   reconstructor->name()
+                       << " writes " << s->gen_plan_->out_features()
+                       << " columns, partition has " << s->var_dim_);
+  } else {
+    FSDA_CHECK_MSG(stage.mean_impute != nullptr,
+                   reconstructor->name() << " exposes no serving stage");
+    s->impute_ = stage.mean_impute;
   }
-  auto gen_plan = nn::InferencePlan::compile(
-      *gan->generator_network(), gan->inv_dim() + gan->noise_dim());
-  if (!gen_plan.has_value()) return nullptr;
-  if (gen_plan->out_features() != gan->var_dim()) return nullptr;
 
   s->mode_ = Mode::Reconstruct;
-  s->gan_ = gan;
-  s->gen_plan_ = std::move(gen_plan);
   s->cols_ = sep.invariant;
   for (std::size_t j = 0; j < map.src.size(); ++j) {
     if (map.from_recon[j] != 0) {
-      if (map.src[j] >= gan->var_dim()) return nullptr;
+      FSDA_CHECK(map.src[j] < s->var_dim_);
       s->recon_dst_.push_back(j);
       s->recon_src_.push_back(map.src[j]);
     } else {
@@ -139,6 +159,17 @@ std::unique_ptr<InferenceSession> InferenceSession::build(
     s->min_input_cols_ = std::max(s->min_input_cols_, c + 1);
   }
   return s;
+}
+
+void InferenceSession::classify(la::ConstMatrixView in, la::MatrixView out,
+                                ServeContext::Chunk& chunk) const {
+  if (clf_plan_.has_value()) {
+    clf_plan_->run(in, out, chunk.clf_ws);
+    return;
+  }
+  la::Matrix rows = la::Matrix::uninit(in.rows(), in.cols());
+  la::copy_into(in, rows);
+  la::copy_into(classifier_->predict_proba(rows), out);
 }
 
 namespace {
@@ -165,7 +196,7 @@ void InferenceSession::ServeContext::reserve(std::size_t rows) {
       rows >= kParallelRows ? common::ThreadPool::global().concurrency() : 1;
   if (chunks_.size() < chunks) chunks_.resize(chunks);
   for (Chunk& c : chunks_) {
-    s.clf_plan_->reserve(rows, c.clf_ws);
+    if (s.clf_plan_.has_value()) s.clf_plan_->reserve(rows, c.clf_ws);
     if (s.gen_plan_.has_value()) s.gen_plan_->reserve(rows, c.gen_ws);
   }
   switch (s.mode_) {
@@ -175,12 +206,9 @@ void InferenceSession::ServeContext::reserve(std::size_t rows) {
       selected_.resize(rows, s.cols_.size());
       break;
     case Mode::Reconstruct: {
-      const std::size_t inv = s.cols_.size();
-      const std::size_t nz = s.gan_->noise_dim();
-      assembled_.resize(rows, s.clf_plan_->in_features());
-      g_in_.resize(rows, inv + nz);
-      noise_.resize(rows, nz);
-      if (!s.map_.identity) recon_.resize(rows, s.gan_->var_dim());
+      assembled_.resize(rows, s.map_.src.size());
+      g_in_.resize(rows, s.cols_.size() + s.noise_dim_);
+      if (!s.map_.identity) recon_.resize(rows, s.var_dim_);
       if (s.monte_carlo_m_ > 1) mc_tmp_.resize(rows, s.num_classes_);
       break;
     }
@@ -203,8 +231,7 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
   FSDA_CHECK_MSG(ctx.owner_ == this,
                  "ServeContext bound to a different InferenceSession");
   // Static handles: the registry is leaked, so these references never
-  // dangle.  The recon.* counters are the ones the layer path bumps, so
-  // dashboards agree across paths.
+  // dangle.
   static auto& registry = obs::MetricsRegistry::global();
   static obs::Counter& samples_total = registry.counter(
       "inference.samples_total",
@@ -256,16 +283,16 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
         in = ctx.selected_;
       }
       for_chunks([&](std::size_t b, std::size_t e, ServeContext::Chunk& c) {
-        clf_plan_->run(in.row_block(b, e - b),
-                       la::MatrixView(proba).row_block(b, e - b), c.clf_ws);
+        classify(in.row_block(b, e - b),
+                 la::MatrixView(proba).row_block(b, e - b), c);
       });
       break;
     }
     case Mode::Reconstruct: {
       const std::size_t inv = cols_.size();
-      const std::size_t var = gan_->var_dim();
-      const std::size_t nz = gan_->noise_dim();
-      ctx.assembled_.resize(rows, clf_plan_->in_features());
+      const std::size_t var = var_dim_;
+      const std::size_t nz = noise_dim_;
+      ctx.assembled_.resize(rows, map_.src.size());
       ctx.g_in_.resize(rows, inv + nz);
       gather_cols(x, cols_, la::MatrixView(ctx.g_in_).col_block(0, inv));
       if (map_.identity) {
@@ -284,20 +311,20 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
         }
         ctx.recon_.resize(rows, var);
       }
+      common::Rng& noise =
+          ctx.reconstructor_stream_ ? *noise_stream_ : ctx.rng_;
       for (std::size_t m = 0; m < monte_carlo_m_; ++m) {
         draws_total.inc();
         recon_rows_total.inc(rows);
-        // Noise is drawn serially before any chunk runs, and chunks only
-        // read it, so split and inline execution are bitwise-identical.
-        if (ctx.reconstructor_stream_) {
-          gan_->sample_noise_into(rows, ctx.noise_);
-        } else {
-          gan_->sample_noise_into(rows, ctx.noise_, ctx.rng_);
-        }
-        la::MatrixView zdst = la::MatrixView(ctx.g_in_).col_block(inv, nz);
-        const la::ConstMatrixView zsrc(ctx.noise_);
-        for (std::size_t r = 0; r < rows; ++r) {
-          std::copy_n(zsrc.row_data(r), nz, zdst.row_data(r));
+        // Noise is drawn serially, row-major as reconstruct() draws it,
+        // before any chunk runs, and chunks only read it, so split and
+        // inline execution are bitwise-identical.
+        if (nz > 0) {
+          la::MatrixView z = la::MatrixView(ctx.g_in_).col_block(inv, nz);
+          for (std::size_t r = 0; r < rows; ++r) {
+            double* zr = z.row_data(r);
+            for (std::size_t k = 0; k < nz; ++k) zr[k] = noise.normal();
+          }
         }
         la::Matrix& dst = m == 0 ? proba : ctx.mc_tmp_;
         dst.resize(rows, num_classes_);
@@ -305,19 +332,21 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
           const std::size_t n = e - b;
           const la::ConstMatrixView g_in =
               la::ConstMatrixView(ctx.g_in_).row_block(b, n);
-          if (map_.identity) {
-            // The generator writes its rows straight into the variant block
-            // of the assembled classifier input -- no hcat, no copies.
-            gen_plan_->run(
-                g_in,
-                la::MatrixView(ctx.assembled_).col_block(inv, var).row_block(b,
-                                                                             n),
-                c.gen_ws);
+          // With the identity map the stage writes its rows straight into
+          // the variant block of the assembled classifier input; otherwise
+          // into the recon buffer, whose mapped columns are then scattered
+          // into the trained input order.
+          const la::MatrixView recon =
+              map_.identity
+                  ? la::MatrixView(ctx.assembled_).row_block(b, n).col_block(
+                        inv, var)
+                  : la::MatrixView(ctx.recon_).row_block(b, n);
+          if (gen_plan_.has_value()) {
+            gen_plan_->run(g_in, recon, c.gen_ws);
           } else {
-            // Cross-partition map: generate into the recon buffer, then
-            // scatter the mapped columns into the trained input order.
-            gen_plan_->run(g_in, la::MatrixView(ctx.recon_).row_block(b, n),
-                           c.gen_ws);
+            impute_->impute_rows(g_in, recon);
+          }
+          if (!map_.identity) {
             const la::ConstMatrixView rv(ctx.recon_);
             la::MatrixView av(ctx.assembled_);
             for (std::size_t r = b; r < e; ++r) {
@@ -328,8 +357,8 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
               }
             }
           }
-          clf_plan_->run(la::ConstMatrixView(ctx.assembled_).row_block(b, n),
-                         la::MatrixView(dst).row_block(b, n), c.clf_ws);
+          classify(la::ConstMatrixView(ctx.assembled_).row_block(b, n),
+                   la::MatrixView(dst).row_block(b, n), c);
         });
         if (m > 0) proba += ctx.mc_tmp_;
       }

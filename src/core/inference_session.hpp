@@ -1,32 +1,35 @@
-// fsda::core -- the packed serving path for a trained pipeline.
+// fsda::core -- the one serving path for a trained pipeline.
 //
 // An InferenceSession freezes the reconstruct->classify hot path of
-// FsGanPipeline::predict_proba into nn::InferencePlans (DESIGN.md §11):
-// the CGAN generator and the neural classifier are compiled once -- weights
-// packed into the panel-major GEMM layout, activations fused, dropout and
-// batch-norm folded -- and every subsequent prediction executes into
-// context-owned buffers with zero steady-state heap allocations.
+// FsGanPipeline::predict_proba (DESIGN.md §11).  Its reconstructor stage
+// compiles the network a Reconstructor exposes through serving_stage() --
+// the CGAN generator, the VAE decoder or the autoencoder -- into an
+// nn::InferencePlan (weights packed into the panel-major GEMM layout,
+// activations fused, dropout and batch-norm folded), or calls the
+// MeanImpute fallback's const row routine.  Its classifier stage runs a
+// compiled plan for an MLP/TNet and the classifier's own const
+// predict_proba, one row chunk at a time, for anything else (RF, XGB).
+// The plan stages execute into context-owned buffers with zero
+// steady-state heap allocations.
 //
-// The session serves the same three separation regimes as the layer-API
-// path (FS-only / no-reconstructor / full FS+GAN) and reproduces its
-// numerics: the plan forwards match the layer forwards to ~1e-12 under
+// build() serves every pipeline the classifier and reconstructor factories
+// can train, in all three separation regimes (FS-only / no-reconstructor /
+// full FS+GAN).  The plan forwards match the layer forwards to ~1e-12 under
 // either GEMM kernel, and a context made by create_serve_context() (no
-// seed) consumes the GAN's own noise stream in the same order as
-// reconstruct().
+// seed) consumes the reconstructor's own noise stream in the same order as
+// reconstruct().  Health guardrails (quarantine, clamp envelope,
+// uniform-row rewrites) stay in the pipeline's one scoring body.
 //
-// build() returns nullptr whenever the classifier or reconstructor is not
-// plan-compatible (non-MLP classifier, MeanImpute fallback, unsupported
-// layer kinds); the pipeline then falls back to the layer API untouched.
-// Health guardrails (quarantine, clamp envelope, uniform-row rewrites) stay
-// in the pipeline's one scoring body and therefore apply to both paths.
-//
-// A session is immutable after build.  predict_proba_scaled has one body:
-// it draws the batch's noise serially from the context's stream, then
-// splits rows across the global ThreadPool when the batch has at least
-// kParallelRows rows and the caller is not already inside a pool region
-// (serial and split execution are bitwise-identical).  Every mutable
-// buffer lives in the ServeContext, so distinct contexts may run
-// concurrently on one session.
+// A session is immutable after build.  It owns its compiled plans and
+// shares a non-plan classifier with the pipeline, so a retrain never pulls
+// a classifier out from under it; its noise stream and MeanImpute routine
+// belong to the reconstructor of the generation that holds the session.
+// predict_proba_scaled has one body: it draws the batch's noise serially
+// from the context's stream, then splits rows across the global ThreadPool
+// when the batch has at least kParallelRows rows and the caller is not
+// already inside a pool region (serial and split execution are
+// bitwise-identical).  Every mutable buffer lives in the ServeContext, so
+// distinct contexts may run concurrently on one session.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +47,7 @@
 
 namespace fsda::core {
 
-class ConditionalGAN;
+class MeanImputeReconstructor;
 
 /// Maps the classifier's trained input order onto a (possibly different)
 /// serving-time partition.  The classifier is frozen with inputs
@@ -75,18 +78,16 @@ struct AssemblyMap {
 
 class InferenceSession {
  public:
-  /// Compiles plans for the classifier (and the reconstructor when `map`
-  /// sources any column from it).  Serves a classifier trained on one
-  /// feature order through the partition/reconstructor of a (possibly
-  /// newer) generation, routing each classifier input column per `map`.
-  /// Returns nullptr when anything is not plan-compatible or the map does
-  /// not fit the classifier/reconstructor shapes.
-  static std::unique_ptr<InferenceSession> build(models::Classifier& classifier,
-                                                 Reconstructor* reconstructor,
-                                                 const SeparationResult& sep,
-                                                 const AssemblyMap& map,
-                                                 std::size_t monte_carlo_m,
-                                                 bool use_reconstruction);
+  /// Compiles the classifier (and the reconstructor when `map` sources any
+  /// column from it).  Serves a classifier trained on one feature order
+  /// through the partition/reconstructor of a (possibly newer) generation,
+  /// routing each classifier input column per `map`.  A map that does not
+  /// fit the classifier/reconstructor shapes is a caller bug (FSDA_CHECK).
+  static std::unique_ptr<InferenceSession> build(
+      std::shared_ptr<const models::Classifier> classifier,
+      std::size_t num_classes, Reconstructor* reconstructor,
+      const SeparationResult& sep, const AssemblyMap& map,
+      std::size_t monte_carlo_m, bool use_reconstruction);
 
   /// Batches with at least this many rows split across
   /// ThreadPool::global(); smaller ones run inline on the caller.  Measured
@@ -122,9 +123,9 @@ class InferenceSession {
           reconstructor_stream_(!noise_seed.has_value()) {}
     const InferenceSession* owner_;
     common::Rng rng_;            ///< private noise stream (Reconstruct mode)
-    bool reconstructor_stream_;  ///< draw from the GAN's stream instead
+    bool reconstructor_stream_;  ///< draw from the reconstructor's stream
     std::vector<Chunk> chunks_;  ///< one per row chunk of a split batch
-    la::Matrix selected_, assembled_, recon_, g_in_, noise_, mc_tmp_;
+    la::Matrix selected_, assembled_, recon_, g_in_, mc_tmp_;
   };
 
   /// Creates a serving context whose reconstruction-noise stream derives
@@ -134,20 +135,18 @@ class InferenceSession {
       std::uint64_t noise_seed) const;
 
   /// Creates a context that draws noise from the reconstructor's own
-  /// stream, exactly as the layer API's reconstruct() does -- the reference
-  /// the packed path is checked against.  Contexts of this kind share that
-  /// stream, so only one of them may run at a time per reconstructor.
+  /// stream, exactly as reconstruct() does -- the reference the session is
+  /// checked against.  Contexts of this kind share that stream, so only
+  /// one of them may run at a time per reconstructor.
   [[nodiscard]] std::unique_ptr<ServeContext> create_serve_context() const;
 
-  /// The packed equivalent of the layer-API predict: `x` is the scaled,
-  /// sanitized batch in original feature order; `proba` is resized to
-  /// rows x num_classes.  Allocation-free once `ctx` is warm (or reserved).
+  /// Scores `x`, the scaled, sanitized batch in original feature order;
+  /// `proba` is resized to rows x num_classes.  With plan stages,
+  /// allocation-free once `ctx` is warm (or reserved).
   void predict_proba_scaled(const la::Matrix& x, la::Matrix& proba,
                             ServeContext& ctx) const;
 
   [[nodiscard]] std::size_t num_classes() const { return num_classes_; }
-  /// True when this session runs the generator plan (full FS+GAN regime).
-  [[nodiscard]] bool reconstructs() const { return gen_plan_.has_value(); }
 
  private:
   enum class Mode {
@@ -158,13 +157,24 @@ class InferenceSession {
 
   InferenceSession() = default;
 
+  /// Classifier stage over one row block: the compiled plan, or the
+  /// classifier's const predict_proba.
+  void classify(la::ConstMatrixView in, la::MatrixView out,
+                ServeContext::Chunk& chunk) const;
+
   Mode mode_ = Mode::Direct;
   std::size_t num_classes_ = 0;
   std::size_t monte_carlo_m_ = 1;
 
   std::optional<nn::InferencePlan> clf_plan_;
+  std::shared_ptr<const models::Classifier> classifier_;  // no clf_plan_ only
+  // Mode::Reconstruct: the generator plan, or the MeanImpute row routine
+  // (owned by the generation's reconstructor), and the noise block.
   std::optional<nn::InferencePlan> gen_plan_;
-  ConditionalGAN* gan_ = nullptr;  // non-owning; Mode::Reconstruct only
+  const MeanImputeReconstructor* impute_ = nullptr;
+  common::Rng* noise_stream_ = nullptr;  // the reconstructor's own stream
+  std::size_t noise_dim_ = 0;
+  std::size_t var_dim_ = 0;
   std::vector<std::size_t> cols_;  // gather list (Select: all, Reconstruct: inv)
   AssemblyMap map_;                // Reconstruct: classifier column routing
   std::size_t min_input_cols_ = 0;  // raw width the gathers require

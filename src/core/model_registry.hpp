@@ -3,9 +3,9 @@
 // A ModelGeneration bundles everything one "version" of the pipeline's
 // serving state consists of: the feature partition it serves under, the
 // reconstructor fitted for that partition, the AssemblyMap routing the
-// frozen classifier's trained input order through it, the compiled
-// InferenceSession (when plan-compatible), and the drift reference the
-// generation was validated against.  Generations are immutable once
+// frozen classifier's trained input order through it, the InferenceSession
+// every prediction scores through, and the drift reference the generation
+// was validated against.  Generations are immutable once
 // published -- re-adaptation builds a NEW generation off to the side and
 // publishes it with one pointer swap.
 //
@@ -36,16 +36,15 @@
 
 namespace fsda::core {
 
-/// One immutable serving version.  `session` may be null (layer-API
-/// fallback regimes); `reconstructor` may be shared with other generations
-/// (e.g. a replan of the same fitted CGAN).
+/// One immutable serving version; a published generation always has a
+/// `session`.
 struct ModelGeneration {
   std::uint64_t id = 0;            ///< assigned by the registry at publish
   std::string provenance;          ///< "train" / "adapt" / "readapt" / ...
   SeparationResult separation;     ///< partition this generation serves under
   AssemblyMap assembly;            ///< trained-order column routing
   std::shared_ptr<Reconstructor> reconstructor;  ///< null in FS / no-recon
-  std::unique_ptr<const InferenceSession> session;  ///< null -> layer path
+  std::unique_ptr<const InferenceSession> session;  ///< the serving path
   obs::DriftMonitor drift_monitor;  ///< PSI reference for serving telemetry
   double validation_accuracy = 0.0;  ///< held-out source accuracy at publish
 };

@@ -216,11 +216,9 @@ std::shared_ptr<ModelGeneration> FsGanPipeline::make_generation(
     // batch-vs-source divergence is the drift signal worth exporting.
     gen->drift_monitor.fit(source_scaled_, gen->separation.variant, {});
   }
-  if (serving_plans_enabled_ && classifier_ != nullptr) {
-    gen->session = InferenceSession::build(
-        *classifier_, gen->reconstructor.get(), gen->separation, gen->assembly,
-        options_.monte_carlo_m, options_.use_reconstruction);
-  }
+  gen->session = InferenceSession::build(
+      classifier_, num_classes_, gen->reconstructor.get(), gen->separation,
+      gen->assembly, options_.monte_carlo_m, options_.use_reconstruction);
   return gen;
 }
 
@@ -660,87 +658,11 @@ std::uint64_t FsGanPipeline::promote_generation(
   return registry_.publish(std::move(gen));
 }
 
-void FsGanPipeline::set_serving_plans_enabled(bool on) {
-  serving_plans_enabled_ = on;
-  const GenerationPtr active = registry_.active();
-  if (active == nullptr) return;
-  // Republish the active generation's state with plans recompiled (or
-  // dropped): the reconstructor is SHARED, so the layer path and a later
-  // re-enable keep consuming the same GAN noise stream.
-  auto gen = make_generation(active->separation, active->reconstructor,
-                             "replan");
-  gen->validation_accuracy = active->validation_accuracy;
-  registry_.publish(std::move(gen));
-}
-
 la::Matrix FsGanPipeline::score_holdout(const ModelGeneration& gen) {
-  const auto ctx = gen.session != nullptr ? gen.session->create_serve_context()
-                                          : nullptr;
   la::Matrix proba;
-  predict_proba_scaled(validation_x_, gen, ctx.get(), proba);
+  gen.session->predict_proba_scaled(validation_x_, proba,
+                                    *gen.session->create_serve_context());
   return proba;
-}
-
-void FsGanPipeline::predict_proba_scaled(const la::Matrix& x,
-                                         const ModelGeneration& gen,
-                                         InferenceSession::ServeContext* ctx,
-                                         la::Matrix& proba) {
-  if (gen.session != nullptr) {
-    gen.session->predict_proba_scaled(x, proba, *ctx);
-    return;
-  }
-  // Layer-API generations share the layers' forward caches and the
-  // reconstructor's noise stream: rare (plan-incompatible regimes only), so
-  // serialization is acceptable.
-  std::lock_guard<std::mutex> lk(*serve_layer_mu_);
-  const auto& sep = gen.separation;
-
-  if (!options_.use_reconstruction) {
-    proba = sep.invariant.empty()
-                ? classifier_->predict_proba(x)
-                : classifier_->predict_proba(x.select_cols(trained_order_));
-    return;
-  }
-
-  if (sep.variant.empty() || gen.reconstructor == nullptr) {
-    // Nothing detected as drifting: classify the trained-order gather (all
-    // columns raw under this generation's map).
-    proba = classifier_->predict_proba(x.select_cols(trained_order_));
-    return;
-  }
-
-  const la::Matrix x_inv = x.select_cols(sep.invariant);
-  // Static handles: the registry is leaked, so these references never
-  // dangle, and the per-call cost is two gated atomic adds.
-  static obs::Counter& draws_total = obs::MetricsRegistry::global().counter(
-      "recon.draws_total", "Monte-Carlo reconstruction draws performed");
-  static obs::Counter& recon_rows_total =
-      obs::MetricsRegistry::global().counter(
-          "recon.rows_total", "rows passed through the reconstructor");
-  for (std::size_t m = 0; m < options_.monte_carlo_m; ++m) {
-    draws_total.inc();
-    recon_rows_total.inc(x_inv.rows());
-    const la::Matrix x_var_hat = gen.reconstructor->reconstruct(x_inv);
-    la::Matrix assembled;
-    if (gen.assembly.identity) {
-      assembled = x_inv.hcat(x_var_hat);  // eq. 11
-    } else {
-      // Cross-partition map: route each trained input column to its raw
-      // feature or its column of the fresh reconstruction.
-      const auto& map = gen.assembly;
-      assembled = la::Matrix::uninit(x.rows(), map.src.size());
-      for (std::size_t r = 0; r < x.rows(); ++r) {
-        for (std::size_t j = 0; j < map.src.size(); ++j) {
-          assembled(r, j) = map.from_recon[j] != 0 ? x_var_hat(r, map.src[j])
-                                                   : x(r, map.src[j]);
-        }
-      }
-    }
-    la::Matrix p = classifier_->predict_proba(assembled);
-    if (m == 0) proba = std::move(p);
-    else proba += p;
-  }
-  proba *= 1.0 / static_cast<double>(options_.monte_carlo_m);
 }
 
 la::Matrix FsGanPipeline::predict_proba(const la::Matrix& x_raw) {
@@ -798,14 +720,11 @@ BatchFacts FsGanPipeline::score(const la::Matrix& x_raw, la::Matrix& proba,
     // happens here, off the registry's lock, so a publish never stalls
     // behind serving callers and vice versa.
     slot.ctx_.reset();
-    if (gen->session != nullptr) {
-      slot.ctx_ = slot.noise_seed_.has_value()
-                      ? gen->session->create_serve_context(
-                            *slot.noise_seed_ ^
-                            (gen->id * 0x9e3779b97f4a7c15ULL))
-                      : gen->session->create_serve_context();
-      if (slot.reserve_rows_ > 0) slot.ctx_->reserve(slot.reserve_rows_);
-    }
+    slot.ctx_ = slot.noise_seed_.has_value()
+                    ? gen->session->create_serve_context(
+                          *slot.noise_seed_ ^ (gen->id * 0x9e3779b97f4a7c15ULL))
+                    : gen->session->create_serve_context();
+    if (slot.reserve_rows_ > 0) slot.ctx_->reserve(slot.reserve_rows_);
     slot.generation_ = gen;
   }
 
@@ -850,7 +769,7 @@ BatchFacts FsGanPipeline::score(const la::Matrix& x_raw, la::Matrix& proba,
     clamped_total.inc(facts.clamped_cells);
   }
 
-  predict_proba_scaled(x, *gen, slot.ctx_.get(), proba);
+  gen->session->predict_proba_scaled(x, proba, *slot.ctx_);
 
   const double uniform = 1.0 / static_cast<double>(num_classes_);
   if (!bad_rows.empty() && options_.quarantine == QuarantinePolicy::Reject) {

@@ -23,8 +23,8 @@
 //
 // Every prediction runs one guarded scoring body (DESIGN.md §15): snapshot
 // the generation, rebind the caller's ServeSlot on a hot-swap, quarantine
-// non-finite rows, clamp into the envelope, score through the packed
-// session or the layer API, rewrite Reject rows, and guard the output.
+// non-finite rows, clamp into the envelope, score through the
+// generation's InferenceSession, rewrite Reject rows, and guard the output.
 // predict_proba_into runs it on a slot the pipeline owns and folds the
 // batch's facts into health(); predict_proba_serve runs it on the caller's
 // slot and hands the facts back.
@@ -33,7 +33,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -175,7 +174,7 @@ class FsGanPipeline {
   /// zero-allocation serving loop once warm.  Folds the batch's facts into
   /// health() and the drift gauges and refreshes last_scaled_batch().  Its
   /// session context draws noise from the reconstructor's own stream, so
-  /// the packed path reproduces the layer path draw for draw.  Safe to call
+  /// it reproduces reconstruct() draw for draw.  Safe to call
   /// concurrently with a background build/validate/promote and with
   /// predict_proba_serve; NOT safe to call concurrently with itself,
   /// train(), or adapt_to_new_target().
@@ -267,8 +266,9 @@ class FsGanPipeline {
 
   /// Scores a candidate against the held-out source slice: finite scan,
   /// uniform-output fraction, accuracy floor, and max drop vs. the active
-  /// generation.  Safe from a background thread while serving runs: layer
-  /// API scoring serializes with the serving paths on one mutex.
+  /// generation.  Safe from a background thread while serving runs: the
+  /// candidate scores on its own session through a context of its own, on
+  /// its own reconstructor's noise stream.
   [[nodiscard]] ValidationVerdict validate_generation(
       const std::shared_ptr<ModelGeneration>& gen, const ValidationOptions& vo);
 
@@ -300,17 +300,10 @@ class FsGanPipeline {
 
   // ------------------------------------------------------------------------
 
-  /// Enables/disables the packed serving plans (core/inference_session.hpp).
-  /// Disabling routes predictions through the layer API; re-enabling
-  /// recompiles the plans from the current networks.  Publishes a "replan"
-  /// generation sharing the active one's partition and reconstructor.
-  /// Test/benchmark hook.
-  void set_serving_plans_enabled(bool on);
-  /// True when predictions currently route through packed inference plans
-  /// (false before train() or when a component is not plan-compatible).
+  /// True once a generation with its InferenceSession is published (every
+  /// trained pipeline serves through one; false before train()).
   [[nodiscard]] bool serving_plans_active() const {
-    const GenerationPtr g = registry_.active();
-    return g != nullptr && g->session != nullptr;
+    return registry_.active() != nullptr;
   }
 
   /// Partition of the actively served generation.  The reference stays
@@ -344,7 +337,7 @@ class FsGanPipeline {
       const SeparationResult& sep, HealthReport& health, std::uint64_t seed,
       const Reconstructor* warm_from = nullptr);
   /// Assembles an immutable generation: AssemblyMap for the trained order,
-  /// packed session (when enabled + compatible), drift reference over the
+  /// InferenceSession, drift reference over the
   /// partition's variant block.  When `reuse` is non-null and carries the
   /// identical partition, its AssemblyMap and fitted DriftMonitor are
   /// copied instead of rebuilt (generation build cache).
@@ -357,13 +350,7 @@ class FsGanPipeline {
   /// guards the output, and records the predict.* metrics.
   BatchFacts score(const la::Matrix& x_raw, la::Matrix& proba,
                    ServeSlot& slot);
-  /// Scores scaled, sanitized rows on `gen`: through `ctx` on its packed
-  /// session, or through the layer API under serve_layer_mu_ (the layer
-  /// classifier's workspaces are shared by every caller).
-  void predict_proba_scaled(const la::Matrix& x, const ModelGeneration& gen,
-                            InferenceSession::ServeContext* ctx,
-                            la::Matrix& proba);
-  /// predict_proba_scaled on `gen` with a fresh context on the
+  /// Scores the holdout on `gen`'s session with a fresh context on the
   /// reconstructor's stream (validation scoring).
   [[nodiscard]] la::Matrix score_holdout(const ModelGeneration& gen);
   /// Scores `gen` on the holdout and stamps gen->validation_accuracy; no-op
@@ -381,7 +368,9 @@ class FsGanPipeline {
   std::uint64_t seed_;
 
   data::MinMaxScaler scaler_;
-  std::unique_ptr<models::Classifier> classifier_;
+  /// Shared with every generation's session that calls it (non-plan
+  /// classifiers), so a pinned generation outlives a retrain.
+  std::shared_ptr<models::Classifier> classifier_;
   std::vector<std::size_t> source_class_counts_;
   // Cached scaled source blocks for reconstructor (re)fits.
   la::Matrix source_scaled_;
@@ -424,12 +413,8 @@ class FsGanPipeline {
   HealthReport health_;
   bool trained_ = false;
 
-  bool serving_plans_enabled_ = true;
   /// predict_proba_into's slot: draws from the reconstructor's stream.
   std::unique_ptr<ServeSlot> own_slot_{new ServeSlot(std::nullopt)};
-  /// Serializes every layer-API scoring call (shared classifier
-  /// workspaces); heap-held so the pipeline stays movable.
-  std::unique_ptr<std::mutex> serve_layer_mu_ = std::make_unique<std::mutex>();
 };
 
 }  // namespace fsda::core

@@ -7,6 +7,7 @@
 // of Table II swaps in a VAE and a vanilla autoencoder.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -14,7 +15,30 @@
 
 #include "la/matrix.hpp"
 
+namespace fsda::common {
+class Rng;
+}  // namespace fsda::common
+namespace fsda::nn {
+class Layer;
+}  // namespace fsda::nn
+
 namespace fsda::core {
+
+class MeanImputeReconstructor;
+
+/// What a serving session (core/inference_session.hpp) runs in place of
+/// reconstruct(): the eval-mode network over side-by-side [x_inv | noise]
+/// rows, or -- for the one non-network fallback -- its const row routine.
+struct ServingStage {
+  /// Maps [x_inv | noise] rows to x_var rows; null for MeanImpute.
+  nn::Layer* net = nullptr;
+  /// Width of the noise block (0: the network reads x_inv alone).
+  std::size_t noise_dim = 0;
+  /// The stream reconstruct() draws its row-major N(0,1) noise from.
+  common::Rng* noise_stream = nullptr;
+  /// Set instead of `net` by the MeanImpute fallback.
+  const MeanImputeReconstructor* mean_impute = nullptr;
+};
 
 /// Learns X_var from X_inv on source data; reconstructs at inference.
 class Reconstructor {
@@ -33,6 +57,12 @@ class Reconstructor {
   [[nodiscard]] virtual la::Matrix reconstruct(const la::Matrix& x_inv) = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// The fitted reconstructor's serving form.  A session compiles `net`
+  /// into a packed plan and, on a context without a private stream, draws
+  /// noise from `noise_stream` exactly as reconstruct() does, so the two
+  /// agree draw for draw.  Pointers stay valid until the next fit().
+  [[nodiscard]] virtual ServingStage serving_stage() = 0;
 
   /// False when the last fit() diverged and exhausted its retry budget; the
   /// pipeline then swaps in the degraded-mode fallback (core/health.hpp).

@@ -225,6 +225,11 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   fitted_ = true;
 }
 
+ServingStage VaeReconstructor::serving_stage() {
+  FSDA_CHECK_MSG(fitted_, "serving_stage before fit");
+  return {decoder_.get(), latent_dim_, &rng_, nullptr};
+}
+
 la::Matrix VaeReconstructor::reconstruct(const la::Matrix& x_inv) {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_dim_);

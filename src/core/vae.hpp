@@ -43,6 +43,8 @@ class VaeReconstructor : public Reconstructor {
            std::size_t num_classes) override;
   la::Matrix reconstruct(const la::Matrix& x_inv) override;
   [[nodiscard]] std::string name() const override { return "VAE"; }
+  /// The decoder over [x_inv | z], latent_dim, and the VAE's own stream.
+  [[nodiscard]] ServingStage serving_stage() override;
 
   [[nodiscard]] double last_loss() const { return last_loss_; }
 

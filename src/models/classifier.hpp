@@ -27,7 +27,9 @@ class Classifier {
                    std::size_t num_classes,
                    const std::vector<double>& weights) = 0;
 
-  /// Per-class probability rows; requires a prior fit().
+  /// Per-class probability rows; requires a prior fit().  A serving
+  /// session calls it from several threads at once, one row chunk each
+  /// (core/inference_session.hpp), so it must not mutate shared state.
   [[nodiscard]] virtual la::Matrix predict_proba(const la::Matrix& x)
       const = 0;
 

@@ -13,10 +13,16 @@ namespace fsda::serve {
 
 namespace {
 
-/// Queue-wait window epoch; with the default 8 epochs the policy sees a
+/// Queue-wait window epoch; with kWaitWindowEpochs epochs the policy sees a
 /// ~2 s sliding window, long enough to smooth scheduling jitter and short
 /// enough to track a load swing within a couple of seconds.
 constexpr std::uint64_t kWaitEpochNs = 250ull * 1000 * 1000;
+constexpr std::size_t kWaitWindowEpochs = 8;
+/// Queue-wait quantile the batch policy consumes.
+constexpr double kWaitQuantile = 0.9;
+/// Refresh the cached wait quantile every this many dequeues (merging the
+/// window on every batch would put an O(buckets) scan on the hot path).
+constexpr std::size_t kWaitRefreshEvery = 32;
 
 constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ULL;
 
@@ -33,11 +39,9 @@ ServeDaemon::ServeDaemon(core::FsGanPipeline& pipeline, ServeOptions options)
       options_(options),
       queue_(options.queue_shards),
       slo_(options.slo),
-      wait_hdr_(options.wait_window_epochs == 0 ? 1
-                                                : options.wait_window_epochs) {
+      wait_hdr_(kWaitWindowEpochs) {
   FSDA_CHECK_MSG(pipeline_.is_trained(), "ServeDaemon over untrained pipeline");
   if (options_.workers == 0) options_.workers = 1;
-  if (options_.wait_refresh_every == 0) options_.wait_refresh_every = 1;
   wait_epoch_ns_.store(obs::FlightRecorder::global().now_ns(),
                        std::memory_order_relaxed);
 }
@@ -130,17 +134,14 @@ Admission ServeDaemon::submit(la::Matrix x, std::uint64_t request_id,
 void ServeDaemon::refresh_wait_quantile() {
   const obs::HdrHistogram merged = wait_hdr_.merged();
   recent_wait_ms_.store(
-      merged.count() > 0 ? merged.value_at_quantile(options_.wait_quantile)
-                         : 0.0,
+      merged.count() > 0 ? merged.value_at_quantile(kWaitQuantile) : 0.0,
       std::memory_order_relaxed);
 }
 
 void ServeDaemon::worker_main(std::size_t worker_index) {
   auto slot = pipeline_.create_serve_slot(options_.seed +
                                           worker_index * kSeedStride);
-  const std::size_t reserve =
-      std::max(options_.reserve_rows, options_.batch.max_batch_rows);
-  pipeline_.reserve_serve_slot(*slot, reserve);
+  pipeline_.reserve_serve_slot(*slot, options_.batch.max_batch_rows);
 
   la::Matrix batch_x;
   la::Matrix batch_proba;
@@ -168,8 +169,7 @@ void ServeDaemon::worker_main(std::size_t worker_index) {
       wait_hdr_.rotate();
       refresh_wait_quantile();
     } else if (dequeues_.fetch_add(1, std::memory_order_relaxed) %
-                   options_.wait_refresh_every ==
-               0) {
+                   kWaitRefreshEvery == 0) {
       refresh_wait_quantile();
     }
 

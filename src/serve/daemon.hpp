@@ -74,17 +74,6 @@ struct ServeOptions {
   /// SLO shedding only applies at/above this queue depth -- a burn-rate
   /// window poisoned by a past overload must not shed an idle daemon.
   std::size_t slo_shed_min_depth = 4;
-  /// Rows every worker slot pre-sizes for (and the coalescing row cap
-  /// inherits max_batch_rows, so keep reserve_rows >= max_batch_rows).
-  std::size_t reserve_rows = 64;
-  /// Epochs in the queue-wait sliding window.
-  std::size_t wait_window_epochs = 8;
-  /// Queue-wait quantile the batch policy consumes.
-  double wait_quantile = 0.9;
-  /// Refresh the cached wait quantile every this many dequeues (merging
-  /// the window on every batch would put an O(buckets) scan on the hot
-  /// path).
-  std::size_t wait_refresh_every = 32;
   /// Base seed for the workers' reconstruction-noise streams.
   std::uint64_t seed = 0x5eedULL;
 };

@@ -1,8 +1,9 @@
 // Tests for the packed inference engine: GEMM kernel equivalence across
 // ISAs and epilogues, InferencePlan-vs-layer forward equality, the
 // zero-allocation serving loop, serial/threaded micro-batch determinism,
-// guardrail preservation and parity across the pipeline's predict paths,
-// and concurrent layer-path scoring.
+// guardrail preservation across the pipeline's predict paths, session
+// parity with the layer API for every classifier x reconstructor pairing,
+// and concurrent scoring through non-plan classifiers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,14 +13,19 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/autoencoder.hpp"
 #include "core/cgan.hpp"
+#include "core/health.hpp"
 #include "core/inference_session.hpp"
 #include "core/pipeline.hpp"
+#include "core/vae.hpp"
 #include "la/gemm.hpp"
 #include "la/kernels.hpp"
 #include "la/matrix.hpp"
 #include "la/view.hpp"
+#include "models/forest.hpp"
 #include "models/neural.hpp"
+#include "models/xgb.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/dropout.hpp"
@@ -397,29 +403,177 @@ core::FsGanPipeline make_pipeline(
       popt, seed);
 }
 
-TEST(InferenceSessionTest, PackedPathMatchesLayerPath) {
+enum class Clf { MLP, TNet, RF, XGB };
+enum class Recon { CGAN, VAE, AE, MeanImpute, None };
+
+/// Small-budget factory for one Table I classifier; `made` (optional)
+/// receives each classifier it creates.
+models::ClassifierFactory classifier_factory(
+    Clf kind, const models::Classifier** made) {
+  return [kind, made](std::uint64_t s) {
+    std::unique_ptr<models::Classifier> c;
+    switch (kind) {
+      case Clf::MLP:
+      case Clf::TNet: {
+        models::NeuralOptions o;
+        o.hidden = {16};
+        o.epochs = 6;
+        c = std::make_unique<models::MLPClassifier>(s, o, kind == Clf::TNet);
+        break;
+      }
+      case Clf::RF: {
+        trees::ForestOptions o;
+        o.num_trees = 8;
+        c = std::make_unique<models::RandomForestClassifier>(s, o);
+        break;
+      }
+      case Clf::XGB: {
+        trees::GbdtOptions o;
+        o.rounds = 6;
+        c = std::make_unique<models::XGBClassifier>(s, o);
+        break;
+      }
+    }
+    if (made != nullptr) *made = c.get();
+    return c;
+  };
+}
+
+/// Small-budget factory for one reconstructor (null for FS mode).
+core::ReconstructorFactory reconstructor_factory(Recon kind) {
+  switch (kind) {
+    case Recon::CGAN: {
+      core::CganOptions o;
+      o.epochs = 4;
+      o.hidden = {16};
+      return [o](std::size_t inv, std::size_t var, std::uint64_t s) {
+        return std::make_unique<core::ConditionalGAN>(inv, var, o, s);
+      };
+    }
+    case Recon::VAE: {
+      core::VaeOptions o;
+      o.epochs = 4;
+      o.hidden = {16};
+      return [o](std::size_t inv, std::size_t var, std::uint64_t s) {
+        return std::make_unique<core::VaeReconstructor>(inv, var, o, s);
+      };
+    }
+    case Recon::AE: {
+      core::AutoencoderOptions o;
+      o.epochs = 4;
+      o.hidden = {16};
+      return [o](std::size_t inv, std::size_t var, std::uint64_t s) {
+        return std::make_unique<core::AutoencoderReconstructor>(inv, var, o,
+                                                                s);
+      };
+    }
+    case Recon::MeanImpute:
+      return [](std::size_t, std::size_t, std::uint64_t) {
+        return std::make_unique<core::MeanImputeReconstructor>();
+      };
+    case Recon::None:
+      break;
+  }
+  return nullptr;
+}
+
+/// FS+X pipeline over one pairing (FS mode for Recon::None), M = 2 draws.
+core::FsGanPipeline make_pairing(Clf clf, Recon recon,
+                                 const models::Classifier** made) {
+  core::PipelineOptions popt;
+  popt.monte_carlo_m = 2;
+  popt.use_reconstruction = recon != Recon::None;
+  return core::FsGanPipeline(classifier_factory(clf, made),
+                             reconstructor_factory(recon), popt, 9);
+}
+
+/// predict_proba of a trained pipeline recomputed from the layer API: the
+/// scoring body's guardrails (scale, zero non-finite cells, clamp), then
+/// Reconstructor::reconstruct and Classifier::predict_proba per draw.
+la::Matrix layer_reference(const core::FsGanPipeline& pipeline,
+                           const models::Classifier& clf,
+                           const la::Matrix& x_raw) {
+  la::Matrix x = pipeline.scaler().transform(x_raw);
+  for (double& v : x.data()) {
+    if (!std::isfinite(v)) v = 0.0;
+  }
+  pipeline.scaler().clamp_transformed(x, pipeline.options().clamp_margin);
+  const core::GenerationPtr gen = pipeline.active_generation();
+  if (gen->reconstructor == nullptr) {
+    return clf.predict_proba(x.select_cols(pipeline.trained_order()));
+  }
+  const la::Matrix x_inv = x.select_cols(gen->separation.invariant);
+  const std::size_t draws = pipeline.options().monte_carlo_m;
+  la::Matrix proba;
+  for (std::size_t m = 0; m < draws; ++m) {
+    const la::Matrix p =
+        clf.predict_proba(x_inv.hcat(gen->reconstructor->reconstruct(x_inv)));
+    if (m == 0) proba = p;
+    else proba += p;
+  }
+  proba *= 1.0 / static_cast<double>(draws);
+  return proba;
+}
+
+TEST(InferenceSessionTest, EveryPairingMatchesTheLayerApi) {
+  // Table I's classifiers x Table II's reconstructors (plus the MeanImpute
+  // fallback and FS mode): each trained pipeline serves through a session,
+  // and its predictions match a twin pipeline's layer-API forward.
   const data::Dataset source = make_source(100);
   const data::Dataset shots = make_target(200);
-  core::FsGanPipeline packed = make_pipeline(9);
-  core::FsGanPipeline layered = make_pipeline(9);
-  layered.set_serving_plans_enabled(false);
-  packed.train(source, shots);
-  layered.train(source, shots);
-  ASSERT_TRUE(packed.serving_plans_active());
-  ASSERT_FALSE(layered.serving_plans_active());
-
   la::Matrix test = make_target(300).x;
-  // A quarantined row and an out-of-envelope value exercise the guardrails
-  // on both paths.
+  // A quarantined row and an out-of-envelope value exercise the guardrails.
   test(1, 4) = std::numeric_limits<double>::quiet_NaN();
   test(2, 7) = 1e9;
-  const la::Matrix p_packed = packed.predict_proba(test);
-  const la::Matrix p_layer = layered.predict_proba(test);
-  expect_close(p_packed, p_layer, 1e-12);
-  EXPECT_EQ(packed.health().quarantined_rows, layered.health().quarantined_rows);
-  EXPECT_EQ(packed.health().clamped_cells, layered.health().clamped_cells);
-  EXPECT_GT(packed.health().quarantined_rows, 0u);
-  EXPECT_GT(packed.health().clamped_cells, 0u);
+  for (const Clf clf : {Clf::MLP, Clf::TNet, Clf::RF, Clf::XGB}) {
+    for (const Recon recon : {Recon::CGAN, Recon::VAE, Recon::AE,
+                              Recon::MeanImpute, Recon::None}) {
+      SCOPED_TRACE("classifier " + std::to_string(static_cast<int>(clf)) +
+                   ", reconstructor " +
+                   std::to_string(static_cast<int>(recon)));
+      core::FsGanPipeline served = make_pairing(clf, recon, nullptr);
+      const models::Classifier* twin_clf = nullptr;
+      core::FsGanPipeline twin = make_pairing(clf, recon, &twin_clf);
+      served.train(source, shots);
+      twin.train(source, shots);
+      ASSERT_TRUE(served.serving_plans_active());
+      ASSERT_EQ(served.active_generation()->reconstructor != nullptr,
+                recon != Recon::None);
+      expect_close(served.predict_proba(test),
+                   layer_reference(twin, *twin_clf, test), 1e-12);
+      EXPECT_EQ(served.health().quarantined_rows, 1u);
+      EXPECT_GT(served.health().clamped_cells, 0u);
+    }
+  }
+}
+
+TEST(InferenceSessionTest, TwoSlotsScoreAnXgbGenerationAtOnce) {
+  // XGB has no compiled plan: its session calls the classifier's const
+  // predict_proba per row chunk.  Two slots scoring at once must each
+  // reproduce what they score alone.
+  core::FsGanPipeline pipeline = make_pairing(Clf::XGB, Recon::CGAN, nullptr);
+  pipeline.train(make_source(108), make_target(209));
+  ASSERT_TRUE(pipeline.serving_plans_active());
+  const la::Matrix test = make_target(308).x;
+  constexpr int kIters = 8;
+  const auto score = [&](std::uint64_t seed) {
+    auto slot = pipeline.create_serve_slot(seed);
+    std::vector<la::Matrix> out(kIters);
+    for (la::Matrix& p : out) pipeline.predict_proba_serve(test, p, *slot);
+    return out;
+  };
+  const std::vector<la::Matrix> alone_a = score(1);
+  const std::vector<la::Matrix> alone_b = score(2);
+  std::vector<la::Matrix> at_once_a, at_once_b;
+  std::thread a([&] { at_once_a = score(1); });
+  std::thread b([&] { at_once_b = score(2); });
+  a.join();
+  b.join();
+  for (int i = 0; i < kIters; ++i) {
+    SCOPED_TRACE("call " + std::to_string(i));
+    expect_close(at_once_a[i], alone_a[i], 0.0);
+    expect_close(at_once_b[i], alone_b[i], 0.0);
+  }
 }
 
 TEST(InferenceSessionTest, SteadyStateSingleSampleLoopIsAllocationFree) {
@@ -586,8 +740,8 @@ TEST(InferenceSessionTest, RejectPolicyServesUniformOnPackedPath) {
   }
 }
 
-/// A classifier without a compilable network: pipelines over it serve
-/// through the layer API with no session.
+/// A classifier without a compilable network: its session calls
+/// predict_proba directly.
 class Constant : public models::Classifier {
  public:
   void fit(const la::Matrix&, const std::vector<std::int64_t>&,
@@ -603,27 +757,27 @@ class Constant : public models::Classifier {
   std::size_t k_ = 2;
 };
 
-TEST(InferenceSessionTest, NonNeuralClassifierFallsBackTransparently) {
-  // A classifier without a compilable network: the pipeline must serve
-  // through the layer API with no session.
+TEST(InferenceSessionTest, NonNeuralClassifierServesThroughASession) {
+  // A classifier without a compilable network still gets a session.
   core::PipelineOptions popt;
   popt.use_reconstruction = false;
   core::FsGanPipeline pipeline(
       [](std::uint64_t) { return std::make_unique<Constant>(); }, nullptr,
       popt, 37);
   pipeline.train(make_source(104), make_target(204));
-  EXPECT_FALSE(pipeline.serving_plans_active());
+  EXPECT_TRUE(pipeline.serving_plans_active());
   const la::Matrix proba = pipeline.predict_proba(make_target(304).x);
   EXPECT_EQ(proba.rows(), 120u);
   EXPECT_NEAR(proba(0, 0), 1.0 / 3.0, 1e-12);
 }
 
-TEST(InferenceSessionTest, LayerPathScoresSafelyFromEveryCallerAtOnce) {
-  // FS+GAN over the Constant classifier: no session, so every scoring call
-  // runs the CGAN's layer-API reconstruct(), whose noise stream and
-  // workspaces are shared.  predict_proba_into, two serve slots and
-  // validate_generation all score at once; each call must serialize on the
-  // pipeline's layer-path lock (ThreadSanitizer checks the rest).
+TEST(InferenceSessionTest, NonPlanClassifierScoresFromEveryCallerAtOnce) {
+  // FS+GAN over the Constant classifier: the session runs the generator
+  // plan and calls the classifier's predict_proba per row chunk.
+  // predict_proba_into, two serve slots and validate_generation all score
+  // at once with no lock: each holds its own context, and the two
+  // reconstructor-stream contexts draw from different generations' streams
+  // (ThreadSanitizer checks the rest).
   core::CganOptions gopt;
   gopt.epochs = 2;
   gopt.hidden = {16};
@@ -636,11 +790,12 @@ TEST(InferenceSessionTest, LayerPathScoresSafelyFromEveryCallerAtOnce) {
       },
       popt, 41);
   pipeline.train(make_source(107), make_target(207));
-  ASSERT_FALSE(pipeline.serving_plans_active());
+  ASSERT_TRUE(pipeline.serving_plans_active());
   ASSERT_NE(pipeline.active_generation()->reconstructor, nullptr);
   const core::CandidateOutcome candidate =
       pipeline.build_candidate_generation(make_target(208), popt.fs);
   ASSERT_NE(candidate.generation, nullptr) << candidate.reason;
+  ASSERT_NE(candidate.generation->session, nullptr);
 
   const la::Matrix test = make_target(307).x;
   constexpr int kIters = 40;

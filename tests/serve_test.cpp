@@ -555,6 +555,11 @@ TEST(ServeDaemonTest, PoisonedSloDoesNotShedAnotherDaemon) {
 TEST(ServeDaemonTest, ConcurrentClientsWithMidRunHotSwapSeeNoBadResponse) {
   core::FsGanPipeline pipeline = make_trained_pipeline(5);
   ASSERT_TRUE(pipeline.serving_plans_active());
+  // A second published generation for the swapper to roll back and forth to.
+  const core::CandidateOutcome second = pipeline.build_candidate_generation(
+      make_target(215), pipeline.options().fs);
+  ASSERT_NE(second.generation, nullptr) << second.reason;
+  pipeline.promote_generation(second.generation);
   serve::ServeDaemon daemon(pipeline, {});
   daemon.start();
 
@@ -590,15 +595,14 @@ TEST(ServeDaemonTest, ConcurrentClientsWithMidRunHotSwapSeeNoBadResponse) {
     });
   }
 
-  // Hot-swap publisher: re-publishing the active generation builds a fresh
-  // session each time; worker slots must rebind mid-stream with zero
-  // invalid responses.
+  // Hot-swapper: each rollback swaps the active and previous generations;
+  // worker slots must rebind mid-stream with zero invalid responses.
   std::atomic<bool> stop_swapper{false};
   std::uint64_t swaps = 0;
   std::thread swapper([&] {
     while (!stop_swapper.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      pipeline.set_serving_plans_enabled(true);
+      EXPECT_TRUE(pipeline.registry().rollback());
       ++swaps;
     }
   });

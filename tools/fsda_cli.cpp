@@ -15,10 +15,10 @@
 //       journal to stderr (and into the snapshot's "trace" field).
 //   fsda_cli serve-bench [5gc|5gipc] [--iters N] [--batch N] [--reps N]
 //       Train an FS+GAN pipeline on the synthetic instance and benchmark
-//       the serving path: single-sample HDR latency quantiles
-//       (p50/p90/p99/p999) and batched samples/sec, packed inference
-//       session vs. the layer API.  Honors the bench telemetry env knobs
-//       (FSDA_METRICS_OUT, FSDA_TRACE).
+//       its serving path (the generation's InferenceSession behind the
+//       guarded scoring body): single-sample HDR latency quantiles
+//       (p50/p90/p99/p999) and batched samples/sec.  Honors the bench
+//       telemetry env knobs (FSDA_METRICS_OUT, FSDA_TRACE).
 //   fsda_cli serve [5gc|5gipc] [--socket <path>] [--workers N] ...
 //       Train an FS+GAN pipeline and run the concurrent serving daemon on
 //       a unix socket: sharded request queue, adaptive micro-batching,
@@ -251,28 +251,13 @@ int cmd_serve_bench(int argc, char** argv) {
                                models::make_classifier_factory("mlp"), 42};
   method.fit(context);
   core::FsGanPipeline& pipeline = method.pipeline();
-  std::printf("packed plans %s\n",
-              pipeline.serving_plans_active() ? "active" : "UNAVAILABLE");
-
-  const bench::ServingBenchResult r = bench::run_serving_bench(
+  const bench::PathStats r = bench::measure_serving_path(
       pipeline, split.target_test.x, iters, batch, reps);
-  std::printf("%-10s %10s %10s %10s %10s %14s\n", "path", "p50 (ms)",
-              "p90 (ms)", "p99 (ms)", "p999 (ms)", "samples/sec");
-  std::printf("%-10s %10.4f %10.4f %10.4f %10.4f %14.0f\n", "packed",
-              r.packed.single.p50_ms, r.packed.single.p90_ms,
-              r.packed.single.p99_ms, r.packed.single.p999_ms,
-              r.packed.samples_per_sec);
-  std::printf("%-10s %10.4f %10.4f %10.4f %10.4f %14.0f\n", "baseline",
-              r.baseline.single.p50_ms, r.baseline.single.p90_ms,
-              r.baseline.single.p99_ms, r.baseline.single.p999_ms,
-              r.baseline.samples_per_sec);
-  std::printf("speedup: %.2fx p50 latency, %.2fx batched throughput\n",
-              r.packed.single.p50_ms > 0.0
-                  ? r.baseline.single.p50_ms / r.packed.single.p50_ms
-                  : 0.0,
-              r.baseline.samples_per_sec > 0.0
-                  ? r.packed.samples_per_sec / r.baseline.samples_per_sec
-                  : 0.0);
+  std::printf("%10s %10s %10s %10s %14s\n", "p50 (ms)", "p90 (ms)",
+              "p99 (ms)", "p999 (ms)", "samples/sec");
+  std::printf("%10.4f %10.4f %10.4f %10.4f %14.0f\n", r.single.p50_ms,
+              r.single.p90_ms, r.single.p99_ms, r.single.p999_ms,
+              r.samples_per_sec);
   return 0;
 }
 
