@@ -7,10 +7,9 @@
 // partition -- the steady-state regime the warm path is built for: the
 // F-node search runs from the adaptation buffer's incremental Gram
 // statistics with the previous generation's separating sets as a skeleton
-// seed, the CGAN refits from the previous weights under the reduced
-// warm-epoch budget, and the generation build cache reuses the assembly
-// map and drift monitor.  The cold run is the identical pipeline and
-// stream with `warm_readapt` off.
+// seed, and the CGAN refits from the previous weights under the reduced
+// warm-epoch budget.  The cold run is the identical pipeline and stream
+// with `warm_readapt` off.
 //
 // The loop runs in synchronous mode (background=false), so each recovery
 // is one inline build+validate inside the triggering serve() call and the
@@ -217,7 +216,7 @@ int main() {
   // Strict significance: at the default alpha = 0.01 a spurious variant
   // feature per search is likely across hundreds of features, and one
   // false positive flips the partition between cycles, knocking the warm
-  // reconstructor + build cache back to cold.  The planted +-5 shifts have
+  // reconstructor back to cold.  The planted +-5 shifts have
   // enormous z-scores, so tightening costs no true detections.
   options.fs.alpha = 1e-6;
   options.fs.max_condition_size = 1;
@@ -276,7 +275,7 @@ int main() {
     // Two batches: at trigger time (patience = 2) the ring has evicted every
     // pre-drift row, so each cycle's candidate search sees a pure
     // current-domain sample and rediscovers the same partition -- the
-    // steady-state the warm reconstructor + build cache key on.
+    // steady-state the warm reconstructor keys on.
     lo.buffer_capacity = 2 * kBatchRows;
     lo.min_adaptation_samples = 64;
     lo.fs = options.fs;

@@ -74,7 +74,6 @@ FNodeResult run_search(const FisherZTest& test, const FNodeOptions& options,
   std::vector<char> marginally_independent(d, 0);
   std::atomic<std::size_t> tests_performed{0};
   std::atomic<std::size_t> warm_reconfirmed{0};
-  const bool warm_on = seed != nullptr && options.warm != WarmStart::Off;
 
   // Watchdog: once the deadline fires, every worker short-circuits and the
   // result is flagged truncated.  The flag is sticky so the wall clock is
@@ -146,18 +145,19 @@ FNodeResult run_search(const FisherZTest& test, const FNodeOptions& options,
     }
 
     // Warm-start probe: the previous generation separated X from F with
-    // S_old -- test that exact set before enumerating anything.  Under
-    // Full fidelity the early exit is taken only when the cold search
-    // would provably have tried S_old itself (members inside the screened
-    // pool, level within budget, lexicographic enumeration rank within
-    // max_subsets_per_level): cold declares X invariant iff ANY tried
-    // subset separates, so reconfirming a cold-tried subset cannot change
-    // the verdict.  When the probe fails (or is ineligible) the normal
-    // enumeration below runs in full, with the probe NOT counted against
-    // the subset budget -- the Full-mode partition is therefore identical
-    // to a cold run, at the cost of at most one extra CI test here.
+    // S_old -- test that exact set before enumerating anything.  The early
+    // exit is taken only when the cold search would provably have tried
+    // S_old itself (members inside the screened pool, level within budget,
+    // lexicographic enumeration rank within max_subsets_per_level): cold
+    // declares X invariant iff ANY tried subset separates, so reconfirming
+    // a cold-tried subset cannot change the verdict.  When the probe fails
+    // (or is ineligible) the normal enumeration below runs in full, with
+    // the probe NOT counted against the subset budget -- the warm partition
+    // is therefore identical to a cold run, at the cost of at most one
+    // extra CI test here.
     const std::vector<std::size_t>* warm_set = nullptr;
-    if (warm_on && x < seed->sepsets.size() && !seed->sepsets[x].empty() &&
+    if (seed != nullptr && x < seed->sepsets.size() &&
+        !seed->sepsets[x].empty() &&
         seed->sepsets[x].size() <= options.max_condition_size) {
       warm_set = &seed->sepsets[x];
       for (const std::size_t m : *warm_set) {
@@ -169,7 +169,7 @@ FNodeResult run_search(const FisherZTest& test, const FNodeOptions& options,
         }
       }
     }
-    if (warm_set != nullptr && options.warm == WarmStart::Full) {
+    if (warm_set != nullptr) {
       std::vector<std::size_t> pos;
       pos.reserve(warm_set->size());
       for (const std::size_t m : *warm_set) {
@@ -198,19 +198,14 @@ FNodeResult run_search(const FisherZTest& test, const FNodeOptions& options,
       }
     }
 
-    std::size_t max_subsets = options.max_subsets_per_level;
-    if (warm_on && options.warm == WarmStart::Budgeted) {
-      max_subsets = max_subsets == 0
-                        ? options.warm_budget
-                        : std::min(max_subsets, options.warm_budget);
-    }
     for (std::size_t level = 1; level <= options.max_condition_size; ++level) {
       if (pool.size() < level) break;
       if (past_deadline()) break;  // keep the marginal verdict: variant
       std::size_t tried = 0;
       bool found_separator = false;
       for_each_subset(pool, level, [&](std::span<const std::size_t> subset) {
-        if (max_subsets != 0 && tried >= max_subsets) {
+        if (options.max_subsets_per_level != 0 &&
+            tried >= options.max_subsets_per_level) {
           return true;  // subset budget exhausted; stop enumerating
         }
         if (past_deadline()) return true;  // watchdog: stop enumerating

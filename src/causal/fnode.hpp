@@ -32,24 +32,6 @@
 
 namespace fsda::causal {
 
-/// Warm-start policy for seeding the search with a previous partition's
-/// separating sets.
-enum class WarmStart {
-  Off,
-  /// Probe old sepsets first, but only exit early when the probe is
-  /// provably within the cold search's tried set (subset of the current
-  /// candidate pool, level within max_condition_size, enumeration rank
-  /// within max_subsets_per_level).  The returned partition is IDENTICAL
-  /// to a cold run on the same correlation matrix; the only cost is at
-  /// most one extra CI test per non-reconfirmed feature.
-  Full,
-  /// Probe old sepsets first regardless of enumeration rank and cap the
-  /// per-level subset budget at FNodeOptions::warm_budget -- a bounded
-  /// search for deadline pressure that may deviate from the cold
-  /// partition (validation gates guard the result).
-  Budgeted,
-};
-
 /// Options for the targeted search.
 struct FNodeOptions {
   /// Significance level of the Fisher-z tests.
@@ -68,14 +50,16 @@ struct FNodeOptions {
   /// search was cut short keep their marginal verdict (dependent ->
   /// variant), and features never tested default to invariant.
   std::size_t deadline_ms = 0;
-  /// Warm-start policy; only takes effect when a seed is passed to
-  /// find_intervention_targets.
-  WarmStart warm = WarmStart::Off;
-  /// Per-level subset cap under WarmStart::Budgeted.
-  std::size_t warm_budget = 8;
 };
 
-/// Previous-generation state seeding a warm-started search.
+/// Previous-generation state seeding a warm-started search.  Passing a
+/// seed is what makes a search warm: each previously-invariant feature's
+/// old sepset is probed first, and the early exit is taken only when the
+/// probe is provably within the cold search's tried set (subset of the
+/// current candidate pool, level within max_condition_size, enumeration
+/// rank within max_subsets_per_level).  The returned partition is
+/// IDENTICAL to a cold run on the same correlation matrix; the only cost
+/// is at most one extra CI test per non-reconfirmed feature.
 struct FNodeSeed {
   /// Separating set per feature (FNodeResult::sepsets of the previous
   /// search).  Empty inner vectors (level-0 / variant features) are not
@@ -106,7 +90,7 @@ struct FNodeResult {
 ///
 /// `source` and `target` are row-sample matrices over the same d features.
 /// Returns the variant/invariant partition of the d features.  `seed`
-/// (optional) enables the warm-start policy in `options.warm`.
+/// (optional) warm-starts the search (see FNodeSeed).
 FNodeResult find_intervention_targets(const la::Matrix& source,
                                       const la::Matrix& target,
                                       const FNodeOptions& options = {},

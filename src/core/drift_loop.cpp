@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "common/rng.hpp"
 #include "la/view.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -27,21 +26,14 @@ DriftDetector::DriftDetector(DriftDetectorOptions options)
   FSDA_CHECK_MSG(options_.psi_clear <= options_.psi_trigger &&
                      options_.ks_clear <= options_.ks_trigger,
                  "clear thresholds must not exceed trigger thresholds");
-  FSDA_CHECK_MSG(options_.min_drifted_features >= 1,
-                 "min_drifted_features must be >= 1");
 }
 
-void DriftDetector::fit(const la::Matrix& reference,
-                        std::vector<std::size_t> columns) {
+void DriftDetector::fit(const la::Matrix& reference) {
   FSDA_CHECK_MSG(reference.rows() > 0 && reference.cols() > 0,
                  "detector reference must be non-empty");
-  if (columns.empty()) {
-    columns.resize(reference.cols());
-    for (std::size_t c = 0; c < columns.size(); ++c) columns[c] = c;
-  }
-  columns_ = std::move(columns);
+  columns_.resize(reference.cols());
+  for (std::size_t c = 0; c < columns_.size(); ++c) columns_[c] = c;
   monitor_.fit(la::ConstMatrixView(reference), columns_, options_.bins);
-  calibrate_thresholds(la::ConstMatrixView(reference));
   window_.resize(options_.window, reference.cols());
   win_rows_ = 0;
   win_next_ = 0;
@@ -50,51 +42,6 @@ void DriftDetector::fit(const la::Matrix& reference,
   under_streak_ = 0;
   cooldown_left_ = 0;
   suppressed_ = 0;
-}
-
-void DriftDetector::calibrate_thresholds(la::ConstMatrixView reference) {
-  eff_psi_trigger_ = options_.psi_trigger;
-  eff_ks_trigger_ = options_.ks_trigger;
-  eff_psi_clear_ = options_.psi_clear;
-  eff_ks_clear_ = options_.ks_clear;
-  if (!options_.auto_threshold || options_.calibration_resamples == 0) return;
-  // Score pseudo-windows of the reference against itself: any PSI/KS they
-  // reach is pure sampling noise at this window size, so a real trigger
-  // must clear that floor with margin.
-  const std::size_t win_rows = std::min(options_.window, reference.rows());
-  la::Matrix pseudo = la::Matrix::uninit(win_rows, reference.cols());
-  la::MatrixView pv(pseudo);
-  common::Rng rng(options_.calibration_seed);
-  double psi_floor = 0.0;
-  double ks_floor = 0.0;
-  for (std::size_t s = 0; s < options_.calibration_resamples; ++s) {
-    for (std::size_t r = 0; r < win_rows; ++r) {
-      const std::size_t src =
-          static_cast<std::size_t>(rng.uniform_index(reference.rows()));
-      std::memcpy(pv.row_data(r), reference.row_data(src),
-                  reference.cols() * sizeof(double));
-    }
-    const la::ConstMatrixView win(pseudo);
-    for (const double v : monitor_.psi(win)) psi_floor = std::max(psi_floor, v);
-    for (const double v : monitor_.ks(win)) ks_floor = std::max(ks_floor, v);
-  }
-  eff_psi_trigger_ =
-      std::max(options_.psi_trigger, psi_floor * options_.threshold_safety);
-  eff_ks_trigger_ =
-      std::max(options_.ks_trigger, ks_floor * options_.threshold_safety);
-  // The signal hovers at the noise floor in steady state, so the clear
-  // thresholds must sit above it or a latch would never release; they stay
-  // below the (raised) triggers to preserve the hysteresis band.
-  eff_psi_clear_ = std::min(std::max(options_.psi_clear, psi_floor),
-                            eff_psi_trigger_);
-  eff_ks_clear_ =
-      std::min(std::max(options_.ks_clear, ks_floor), eff_ks_trigger_);
-  FSDA_LOG_INFO << "drift detector: calibrated thresholds (psi "
-                << eff_psi_trigger_ << " / clear " << eff_psi_clear_ << ", ks "
-                << eff_ks_trigger_ << " / clear " << eff_ks_clear_
-                << ") from noise floor psi " << psi_floor << ", ks "
-                << ks_floor << " over " << options_.calibration_resamples
-                << " resamples";
 }
 
 bool DriftDetector::observe(const la::Matrix& batch) {
@@ -118,7 +65,7 @@ bool DriftDetector::observe(const la::Matrix& batch) {
   if (win_rows_ < options_.min_window) return false;
   score_window();
 
-  const bool over = last_drifted_ >= options_.min_drifted_features;
+  const bool over = last_drifted_ > 0;
   if (!latched_) {
     if (cooldown_left_ > 0) {
       --cooldown_left_;
@@ -137,8 +84,8 @@ bool DriftDetector::observe(const la::Matrix& batch) {
     return false;
   }
   // Latched: clear only after `patience` consecutive fully-under windows.
-  const bool under = last_psi_max_ <= eff_psi_clear_ &&
-                     last_ks_max_ <= eff_ks_clear_;
+  const bool under = last_psi_max_ <= options_.psi_clear &&
+                     last_ks_max_ <= options_.ks_clear;
   under_streak_ = under ? under_streak_ + 1 : 0;
   if (under_streak_ >= options_.patience) {
     latched_ = false;
@@ -161,7 +108,7 @@ void DriftDetector::score_window() {
   for (std::size_t i = 0; i < psi.size(); ++i) {
     last_psi_max_ = std::max(last_psi_max_, psi[i]);
     last_ks_max_ = std::max(last_ks_max_, ks[i]);
-    if (psi[i] >= eff_psi_trigger_ || ks[i] >= eff_ks_trigger_) {
+    if (psi[i] >= options_.psi_trigger || ks[i] >= options_.ks_trigger) {
       ++last_drifted_;
     }
   }
@@ -172,7 +119,6 @@ void DriftDetector::rebaseline_to_window() {
   const la::ConstMatrixView win =
       la::ConstMatrixView(window_).row_block(0, win_rows_);
   monitor_.fit(win, columns_, options_.bins);
-  calibrate_thresholds(win);
   unlatch();
   // The fresh reference IS the window: give the stream time to move before
   // the detector may fire against it.
@@ -201,31 +147,14 @@ AdaptationBuffer::AdaptationBuffer(std::size_t capacity,
 void AdaptationBuffer::enable_stats(const data::MinMaxScaler* scaler) {
   FSDA_CHECK_MSG(scaler != nullptr && scaler->is_fitted(),
                  "enable_stats needs a fitted scaler");
+  FSDA_CHECK_MSG(rows_ == 0, "enable_stats on a non-empty buffer ("
+                                 << rows_ << " rows)");
   scaler_ = scaler;
   xs_.resize(capacity_, x_.cols());
   row_raw_.resize(1, x_.cols());
   row_scaled_.resize(1, x_.cols());
   class_stats_.assign(num_classes_, la::GramStats(x_.cols()));
   class_counts_.assign(num_classes_, 0);
-  // Rebuild statistics for rows already buffered (enable-after-ingest).
-  const la::ConstMatrixView xv(x_);
-  const std::size_t start = rows_ == capacity_ ? next_ : 0;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const std::size_t src = (start + i) % capacity_;
-    std::memcpy(la::MatrixView(row_raw_).row_data(0), xv.row_data(src),
-                x_.cols() * sizeof(double));
-    scaler_->transform_into(row_raw_, row_scaled_);
-    std::memcpy(la::MatrixView(xs_).row_data(src),
-                la::ConstMatrixView(row_scaled_).row_data(0),
-                x_.cols() * sizeof(double));
-    FSDA_CHECK_MSG(y_[src] >= 0 &&
-                       static_cast<std::size_t>(y_[src]) < num_classes_,
-                   "buffered label out of range: " << y_[src]);
-    const auto cls = static_cast<std::size_t>(y_[src]);
-    class_stats_[cls].add(
-        {la::ConstMatrixView(xs_).row_data(src), x_.cols()});
-    ++class_counts_[cls];
-  }
 }
 
 void AdaptationBuffer::ingest(const la::Matrix& x_raw,
@@ -357,7 +286,7 @@ DriftLoop::DriftLoop(FsGanPipeline& pipeline, DriftLoopOptions options)
                      options_.min_adaptation_samples <=
                          options_.buffer_capacity,
                  "min_adaptation_samples must be in [1, buffer_capacity]");
-  detector_.fit(pipeline_.scaled_source(), options_.monitor_columns);
+  detector_.fit(pipeline_.scaled_source());
   if (options_.warm_readapt) {
     // Incremental per-class sufficient statistics over the scaled buffer
     // rows, so a trigger can hand the worker an O(d²) correlation assembly
@@ -394,14 +323,11 @@ void DriftLoop::serve(const la::Matrix& x_raw,
   poll_worker();
 
   // 2. Serve through the active generation (never blocks on the worker).
-  const std::uint64_t q_before = pipeline_.health().quarantined_rows;
-  pipeline_.predict_proba_into(x_raw, proba);
-  const std::uint64_t q_after = pipeline_.health().quarantined_rows;
+  const BatchFacts facts = pipeline_.predict_proba_into(x_raw, proba);
   const double q_rate =
-      x_raw.rows() > 0
-          ? static_cast<double>(q_after - q_before) /
-                static_cast<double>(x_raw.rows())
-          : 0.0;
+      x_raw.rows() > 0 ? static_cast<double>(facts.quarantined_rows) /
+                             static_cast<double>(x_raw.rows())
+                       : 0.0;
   quarantine_ewma_ = 0.8 * quarantine_ewma_ + 0.2 * q_rate;
 
   // 3. Probation: a quarantine-rate spike right after a promotion means the
@@ -505,14 +431,9 @@ DriftLoop::Result DriftLoop::run_adaptation(const Job& job) {
   // attempt after any rejection) leaves the default-constructed context,
   // which reproduces the original cold build exactly.
   ReadaptContext ctx;
-  ctx.reuse_builds = job.warm;
-  if (job.warm) {
-    if (job.target_stats.dim() > 0 && job.target_stats.weight() > 0.0) {
-      ctx.target_stats = &job.target_stats;
-    }
-    ctx.warm_skeleton = options_.warm_skeleton;
-    ctx.warm_budget = options_.warm_budget;
-    ctx.warm_reconstructor = true;
+  ctx.warm = job.warm;
+  if (job.target_stats.dim() > 0 && job.target_stats.weight() > 0.0) {
+    ctx.target_stats = &job.target_stats;
   }
   CandidateOutcome built = [&] {
     FSDA_EVENT_SCOPE(fsda::obs::EventCategory::Drift, "readapt.build");
@@ -523,8 +444,8 @@ DriftLoop::Result DriftLoop::run_adaptation(const Job& job) {
     r.reason = built.reason.empty() ? "candidate build failed" : built.reason;
     return r;
   }
-  // Validation runs on whichever thread built the candidate; layer-API
-  // scoring serializes with serving inside the pipeline.
+  // Validation runs on whichever thread built the candidate, scoring it on
+  // its own session and a fresh context, so it never touches serving state.
   const ValidationVerdict v = [&] {
     FSDA_EVENT_SCOPE(fsda::obs::EventCategory::Drift, "readapt.validate");
     return pipeline_.validate_generation(built.generation,

@@ -44,32 +44,18 @@ struct DriftDetectorOptions {
   /// Rows required before the window is scored at all.
   std::size_t min_window = 64;
   /// PSI trigger/clear thresholds (industry rules of thumb: > 0.25 action).
+  /// A window is over trigger when any one monitored feature reaches the
+  /// PSI or the KS trigger.
   double psi_trigger = 0.25;
   double psi_clear = 0.10;
   /// Windowed-KS trigger/clear thresholds (max CDF gap in [0, 1]).
   double ks_trigger = 0.35;
   double ks_clear = 0.15;
-  /// Auto-tune the trigger thresholds to the reference's sampling noise
-  /// floor at fit() time: `calibration_resamples` pseudo-windows of
-  /// `window` rows are drawn (with replacement) from the reference and
-  /// scored against it; the largest PSI/KS excursion pure sampling noise
-  /// produces, times `threshold_safety`, becomes the effective trigger --
-  /// but never below the explicit psi_trigger/ks_trigger, which remain the
-  /// override.  Off by default (explicit thresholds only).
-  bool auto_threshold = false;
-  /// Effective trigger = max(explicit, noise_floor * threshold_safety).
-  double threshold_safety = 2.0;
-  /// Pseudo-windows drawn for calibration.
-  std::size_t calibration_resamples = 32;
-  /// Seed for the calibration resampler (deterministic).
-  std::uint64_t calibration_seed = 0x5eedULL;
   /// Consecutive over-trigger observations required before latching -- the
   /// hysteresis that keeps a boundary-oscillating signal from flapping.
   std::size_t patience = 2;
   /// Observations after a latch clears before the detector may latch again.
   std::size_t cooldown = 8;
-  /// Features that must exceed the trigger simultaneously.
-  std::size_t min_drifted_features = 1;
   /// Histogram binning shared by the PSI and KS scores.
   obs::DriftOptions bins;
 };
@@ -83,10 +69,8 @@ class DriftDetector {
  public:
   explicit DriftDetector(DriftDetectorOptions options = {});
 
-  /// Fits the reference distribution per monitored column (empty = all
-  /// columns of `reference`).
-  void fit(const la::Matrix& reference,
-           std::vector<std::size_t> columns = {});
+  /// Fits the reference distribution of every column of `reference`.
+  void fit(const la::Matrix& reference);
 
   /// Pushes a scaled batch into the sliding window and rescores.  Returns
   /// true exactly when the detector latches (edge-triggered).
@@ -115,19 +99,9 @@ class DriftDetector {
     return last_drifted_; }
   [[nodiscard]] const DriftDetectorOptions& options() const {
     return options_; }
-  /// Thresholds actually applied: the explicit options, raised to the
-  /// calibrated noise floor when auto_threshold is on.
-  [[nodiscard]] double effective_psi_trigger() const {
-    return eff_psi_trigger_; }
-  [[nodiscard]] double effective_ks_trigger() const {
-    return eff_ks_trigger_; }
-  [[nodiscard]] double effective_psi_clear() const { return eff_psi_clear_; }
-  [[nodiscard]] double effective_ks_clear() const { return eff_ks_clear_; }
 
  private:
   void score_window();
-  /// Sets the effective thresholds from `reference` (see auto_threshold).
-  void calibrate_thresholds(la::ConstMatrixView reference);
 
   DriftDetectorOptions options_;
   obs::DriftMonitor monitor_;
@@ -135,10 +109,6 @@ class DriftDetector {
   la::Matrix window_;          // ring buffer of full-width scaled rows
   std::size_t win_rows_ = 0;   // valid rows in the ring
   std::size_t win_next_ = 0;   // next write position
-  double eff_psi_trigger_ = 0.0;
-  double eff_ks_trigger_ = 0.0;
-  double eff_psi_clear_ = 0.0;
-  double eff_ks_clear_ = 0.0;
   bool latched_ = false;
   std::size_t over_streak_ = 0;
   std::size_t under_streak_ = 0;
@@ -179,8 +149,8 @@ class AdaptationBuffer {
   /// each ingested row is also scaled through `scaler` (unclamped,
   /// un-imputed -- exactly what the FS path's transform would produce) and
   /// rank-1 added to its class's GramStats; ring eviction rank-1 removes
-  /// the overwritten row.  `scaler` must outlive the buffer.  Costs
-  /// O(d²/2) per ingested row.
+  /// the overwritten row.  Call on an empty buffer.  `scaler` must outlive
+  /// the buffer.  Costs O(d²/2) per ingested row.
   void enable_stats(const data::MinMaxScaler* scaler);
   [[nodiscard]] bool stats_enabled() const { return scaler_ != nullptr; }
   /// Per-class statistics over the scaled buffered rows (empty when stats
@@ -222,12 +192,11 @@ enum class DriftState {
 [[nodiscard]] const char* to_string(DriftState s);
 
 struct DriftLoopOptions {
+  /// The detector monitors ALL scaled columns: drift on a
+  /// supposedly-invariant feature is precisely what forces a new partition,
+  /// so monitoring only the variant block would blind the loop to the case
+  /// it exists for.
   DriftDetectorOptions detector;
-  /// Columns the detector monitors (empty = ALL scaled columns -- drift on
-  /// a supposedly-invariant feature is precisely what forces a new
-  /// partition, so monitoring only the variant block would blind the loop
-  /// to the case it exists for).
-  std::vector<std::size_t> monitor_columns;
   /// Capacity of the labeled sample ring.
   std::size_t buffer_capacity = 512;
   /// Minimum buffered samples before a trigger starts an adaptation.
@@ -256,17 +225,13 @@ struct DriftLoopOptions {
   /// false runs them inline in serve() -- deterministic, for tests.
   bool background = true;
   /// Re-adaptation fast path (DESIGN.md §16): the first attempt after a
-  /// trigger runs warm -- sufficient-statistic FS (the buffer maintains
-  /// per-class GramStats incrementally), skeleton warm-start from the
-  /// active generation's sepsets, reconstructor warm-start from its
-  /// weights, and the generation build cache.  Any rejection makes the
-  /// next attempt fully cold (the existing fallback ladder), and a
-  /// promotion re-arms the warm path.
+  /// trigger runs warm (ReadaptContext::warm) -- sufficient-statistic FS
+  /// (the buffer maintains per-class GramStats incrementally), skeleton
+  /// warm-start from the active generation's sepsets (cold-identical
+  /// partition) and reconstructor warm-start from its weights.  Any
+  /// rejection makes the next attempt fully cold (the existing fallback
+  /// ladder), and a promotion re-arms the warm path.
   bool warm_readapt = true;
-  /// Skeleton warm-start fidelity (Full = provably cold-identical
-  /// partition; Budgeted = bounded search capped at warm_budget).
-  causal::WarmStart warm_skeleton = causal::WarmStart::Full;
-  std::size_t warm_budget = 8;
 };
 
 struct DriftLoopStats {
@@ -356,7 +321,6 @@ class DriftLoop {
   std::size_t probation_left_ = 0;
   double quarantine_ewma_ = 0.0;
   double quarantine_ewma_pre_ = 0.0;
-  std::uint64_t quarantined_seen_ = 0;  // pipeline health counter watermark
   bool baselined_ = false;
   /// Persistent snapshot target: re-used across triggers so repeated
   /// re-adaptation attempts gather the buffer without fresh allocations.

@@ -42,7 +42,7 @@ struct SeparationQuality {
 };
 
 /// Runs FS on (already normalized) source vs. few-shot target features.
-/// `seed` (optional) warm-starts the search per `options.warm`.
+/// `seed` (optional) warm-starts the search (causal::FNodeSeed).
 SeparationResult separate_features(const la::Matrix& source,
                                    const la::Matrix& target_few_shot,
                                    const causal::FNodeOptions& options = {},

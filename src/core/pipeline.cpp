@@ -187,35 +187,19 @@ std::shared_ptr<Reconstructor> FsGanPipeline::fit_reconstructor_for(
 
 std::shared_ptr<ModelGeneration> FsGanPipeline::make_generation(
     SeparationResult sep, std::shared_ptr<Reconstructor> reconstructor,
-    std::string provenance, const ModelGeneration* reuse) {
+    std::string provenance) {
   auto gen = std::make_shared<ModelGeneration>();
   gen->provenance = std::move(provenance);
   gen->separation = std::move(sep);
   gen->reconstructor = std::move(reconstructor);
   const bool with_recon =
       options_.use_reconstruction && gen->reconstructor != nullptr;
-  const bool partition_unchanged =
-      reuse != nullptr &&
-      reuse->separation.invariant == gen->separation.invariant &&
-      reuse->separation.variant == gen->separation.variant &&
-      (reuse->reconstructor != nullptr) == (gen->reconstructor != nullptr);
-  if (partition_unchanged) {
-    // Generation build cache (DESIGN.md §16): the AssemblyMap depends only
-    // on (trained_order_, partition, with_recon) and the drift reference
-    // only on (scaled source, variant set), all unchanged -- copy them from
-    // the published (hence immutable) previous generation instead of
-    // re-deriving them.  The packed session below still rebuilds: fresh
-    // reconstructor weights need a fresh plan either way.
-    gen->assembly = reuse->assembly;
-    gen->drift_monitor = reuse->drift_monitor;
-  } else {
-    gen->assembly =
-        AssemblyMap::build(trained_order_, gen->separation, with_recon);
-    // The PSI reference is the scaled source restricted to the generation's
-    // variant block: those are the features expected to drift, so their
-    // batch-vs-source divergence is the drift signal worth exporting.
-    gen->drift_monitor.fit(source_scaled_, gen->separation.variant, {});
-  }
+  gen->assembly =
+      AssemblyMap::build(trained_order_, gen->separation, with_recon);
+  // The PSI reference is the scaled source restricted to the generation's
+  // variant block: those are the features expected to drift, so their
+  // batch-vs-source divergence is the drift signal worth exporting.
+  gen->drift_monitor.fit(source_scaled_, gen->separation.variant, {});
   gen->session = InferenceSession::build(
       classifier_, num_classes_, gen->reconstructor.get(), gen->separation,
       gen->assembly, options_.monte_carlo_m, options_.use_reconstruction);
@@ -451,11 +435,6 @@ void FsGanPipeline::adapt_to_new_target(const data::Dataset& target_few_shot) {
 }
 
 CandidateOutcome FsGanPipeline::build_candidate_generation(
-    const data::Dataset& target_few_shot, const causal::FNodeOptions& fs) {
-  return build_candidate_generation(target_few_shot, fs, ReadaptContext{});
-}
-
-CandidateOutcome FsGanPipeline::build_candidate_generation(
     const data::Dataset& target_few_shot, const causal::FNodeOptions& fs,
     const ReadaptContext& ctx) {
   CandidateOutcome out;
@@ -466,7 +445,7 @@ CandidateOutcome FsGanPipeline::build_candidate_generation(
     return out;
   }
   // Snapshot once: every warm layer keys off the same previous generation.
-  const GenerationPtr active = registry_.active();
+  const GenerationPtr active = ctx.warm ? registry_.active() : nullptr;
   try {
     SeparationResult fresh;
     {
@@ -481,29 +460,26 @@ CandidateOutcome FsGanPipeline::build_candidate_generation(
             std::to_string(dropped) +
                 " non-finite few-shot target row(s) dropped");
       }
-      causal::FNodeOptions search = fs;
       causal::FNodeSeed skeleton;
       const causal::FNodeSeed* seed_ptr = nullptr;
-      if (ctx.warm_skeleton != causal::WarmStart::Off && active != nullptr &&
+      if (active != nullptr &&
           active->separation.sepsets.size() == source_scaled_.cols()) {
-        search.warm = ctx.warm_skeleton;
-        search.warm_budget = ctx.warm_budget;
         skeleton.sepsets = active->separation.sepsets;
         seed_ptr = &skeleton;
       }
-      if (ctx.target_stats != nullptr &&
+      if (ctx.warm && ctx.target_stats != nullptr &&
           ctx.target_stats->dim() == source_scaled_.cols()) {
         // Stats path: the combined correlation assembles in O(d²) from the
         // cached source statistics plus the caller's target statistics; no
         // row is rescanned and no combined matrix is materialized.
         const la::GramStats& src = source_stats();
         FSDA_EVENT_SCOPE(obs::EventCategory::Drift, "readapt.search");
-        fresh = separate_features(src, *ctx.target_stats, search, seed_ptr);
+        fresh = separate_features(src, *ctx.target_stats, fs, seed_ptr);
       } else {
         const la::Matrix target_scaled =
             scaler_.transform(label_shift_corrected_cached(shots).x);
         FSDA_EVENT_SCOPE(obs::EventCategory::Drift, "readapt.search");
-        fresh = separate_features(source_scaled_, target_scaled, search,
+        fresh = separate_features(source_scaled_, target_scaled, fs,
                                   seed_ptr);
       }
     }
@@ -521,9 +497,7 @@ CandidateOutcome FsGanPipeline::build_candidate_generation(
         active->separation.invariant == fresh.invariant &&
         active->separation.variant == fresh.variant;
     const Reconstructor* warm_from =
-        ctx.warm_reconstructor && partition_unchanged && active != nullptr
-            ? active->reconstructor.get()
-            : nullptr;
+        partition_unchanged ? active->reconstructor.get() : nullptr;
     std::shared_ptr<Reconstructor> reconstructor;
     {
       FSDA_EVENT_SCOPE(obs::EventCategory::Drift, "readapt.refit");
@@ -533,10 +507,8 @@ CandidateOutcome FsGanPipeline::build_candidate_generation(
     }
     {
       FSDA_EVENT_SCOPE(obs::EventCategory::Drift, "readapt.compile");
-      out.generation =
-          make_generation(std::move(fresh), std::move(reconstructor),
-                          "readapt",
-                          ctx.reuse_builds ? active.get() : nullptr);
+      out.generation = make_generation(std::move(fresh),
+                                       std::move(reconstructor), "readapt");
     }
   } catch (const common::Error& e) {
     out.generation = nullptr;
@@ -671,8 +643,8 @@ la::Matrix FsGanPipeline::predict_proba(const la::Matrix& x_raw) {
   return proba;
 }
 
-void FsGanPipeline::predict_proba_into(const la::Matrix& x_raw,
-                                       la::Matrix& proba) {
+BatchFacts FsGanPipeline::predict_proba_into(const la::Matrix& x_raw,
+                                             la::Matrix& proba) {
   const BatchFacts facts = score(x_raw, proba, *own_slot_);
   health_.quarantined_rows += facts.quarantined_rows;
   health_.clamped_cells += facts.clamped_cells;
@@ -687,6 +659,7 @@ void FsGanPipeline::predict_proba_into(const la::Matrix& x_raw,
     update_drift_gauges(*own_slot_->generation_, own_slot_->x_scaled_,
                         facts.quarantined_rows, facts.clamped_cells);
   }
+  return facts;
 }
 
 std::unique_ptr<FsGanPipeline::ServeSlot> FsGanPipeline::create_serve_slot(

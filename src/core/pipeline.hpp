@@ -120,31 +120,24 @@ struct BatchFacts {
 };
 
 /// Re-adaptation fast-path inputs (DESIGN.md §16), assembled by the drift
-/// loop at trigger time.  A default-constructed context reproduces the cold
-/// build exactly; each field independently enables one acceleration layer,
-/// and every layer degrades to the cold path when its precondition fails
-/// (shape mismatch, changed partition, missing previous generation).
+/// loop at trigger time.  A default-constructed context is the cold build,
+/// bit for bit; `warm` switches on every warm layer at once, and each layer
+/// degrades to the cold path when its precondition fails (shape mismatch,
+/// changed partition, missing previous generation).
 struct ReadaptContext {
   /// Label-shift-weighted sufficient statistics over the SCALED few-shot
   /// target rows (same representation the materialized FS path would see;
-  /// see FsGanPipeline::weighted_target_stats).  When set, the F-node
-  /// search assembles its correlation matrix in O(d²) from these plus the
-  /// pipeline's cached source statistics instead of rescanning rows.
+  /// see FsGanPipeline::weighted_target_stats).  Read only when `warm`:
+  /// the F-node search then assembles its correlation matrix in O(d²)
+  /// from these plus the pipeline's cached source statistics instead of
+  /// rescanning rows.
   const la::GramStats* target_stats = nullptr;
-  /// Warm-start the F-node search from the active generation's separating
-  /// sets (causal/fnode.hpp; Full preserves the cold partition exactly).
-  causal::WarmStart warm_skeleton = causal::WarmStart::Off;
-  /// Per-level subset cap under WarmStart::Budgeted.
-  std::size_t warm_budget = 8;
-  /// Warm-start the reconstructor refit from the active generation's
+  /// Seed the F-node search from the active generation's separating sets
+  /// (causal::FNodeSeed; the partition equals the cold one exactly), and
+  /// warm-start the reconstructor refit from the active generation's
   /// weights (reduced epoch cap) when the fresh partition is identical to
   /// the active one.
-  bool warm_reconstructor = false;
-  /// Generation build cache: when the fresh partition matches the active
-  /// generation's, copy its AssemblyMap and fitted DriftMonitor instead of
-  /// rebuilding them (generations are immutable after publish, so the
-  /// copies are safe snapshots).
-  bool reuse_builds = true;
+  bool warm = false;
 };
 
 /// The paper's DA framework around a pluggable classifier + reconstructor.
@@ -178,7 +171,8 @@ class FsGanPipeline {
   /// concurrently with a background build/validate/promote and with
   /// predict_proba_serve; NOT safe to call concurrently with itself,
   /// train(), or adapt_to_new_target().
-  void predict_proba_into(const la::Matrix& x_raw, la::Matrix& proba);
+  /// Returns the batch's facts (the same ones folded into health()).
+  BatchFacts predict_proba_into(const la::Matrix& x_raw, la::Matrix& proba);
   [[nodiscard]] std::vector<std::int64_t> predict(const la::Matrix& x_raw);
 
   /// Per-caller serving state: a pinned generation snapshot, the session
@@ -231,17 +225,13 @@ class FsGanPipeline {
   /// time) and refits the reconstructor for the discovered partition.
   /// Never touches serving state; safe to run on a background thread while
   /// predict_proba keeps serving (but not concurrently with train/adapt).
-  /// On failure `generation` is null and `reason` says why.
-  [[nodiscard]] CandidateOutcome build_candidate_generation(
-      const data::Dataset& target_few_shot, const causal::FNodeOptions& fs);
-
-  /// Fast-path overload: `ctx` supplies pre-assembled target statistics
-  /// and/or warm-start state from the active generation.  Emits per-stage
+  /// On failure `generation` is null and `reason` says why.  `ctx` selects
+  /// the cold build (default) or the warm fast path.  Emits per-stage
   /// journal scopes (readapt.stats / readapt.search / readapt.refit /
   /// readapt.compile) so recovery time decomposes in the flight recorder.
   [[nodiscard]] CandidateOutcome build_candidate_generation(
       const data::Dataset& target_few_shot, const causal::FNodeOptions& fs,
-      const ReadaptContext& ctx);
+      const ReadaptContext& ctx = {});
 
   /// Combines per-class GramStats accumulated over scaled target rows into
   /// the label-shift-corrected statistics the FS stats path consumes:
@@ -337,13 +327,10 @@ class FsGanPipeline {
       const SeparationResult& sep, HealthReport& health, std::uint64_t seed,
       const Reconstructor* warm_from = nullptr);
   /// Assembles an immutable generation: AssemblyMap for the trained order,
-  /// InferenceSession, drift reference over the
-  /// partition's variant block.  When `reuse` is non-null and carries the
-  /// identical partition, its AssemblyMap and fitted DriftMonitor are
-  /// copied instead of rebuilt (generation build cache).
+  /// InferenceSession, drift reference over the partition's variant block.
   std::shared_ptr<ModelGeneration> make_generation(
       SeparationResult sep, std::shared_ptr<Reconstructor> reconstructor,
-      std::string provenance, const ModelGeneration* reuse = nullptr);
+      std::string provenance);
   /// The guarded scoring body behind both predict paths: snapshots the
   /// active generation (rebinding `slot` on a hot-swap), scales,
   /// quarantines and clamps into the slot, scores, rewrites Reject rows,

@@ -13,6 +13,7 @@
 
 #include "baselines/ours.hpp"
 #include "causal/fnode.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cgan.hpp"
 #include "core/drift_loop.hpp"
@@ -241,48 +242,24 @@ TEST(FnodeWarmStartTest, FullFidelityEqualsColdSearch) {
   for (const auto& s : cold.sepsets) any_sepset = any_sepset || !s.empty();
   ASSERT_TRUE(any_sepset);
 
+  // Passing a seed is what makes the search warm.
   causal::FNodeSeed seed;
   seed.sepsets = cold.sepsets;
-  causal::FNodeOptions warm_o = cold_o;
-  warm_o.warm = causal::WarmStart::Full;
   const causal::FNodeResult warm =
-      causal::find_intervention_targets(fx.source, fx.target, warm_o, &seed);
+      causal::find_intervention_targets(fx.source, fx.target, cold_o, &seed);
 
-  // Full fidelity: the partition (and every separating set) is IDENTICAL
-  // to the cold run, and at least one probe short-circuited its level
-  // enumeration.
+  // The partition (and every separating set) is IDENTICAL to the cold run,
+  // and at least one probe short-circuited its level enumeration.
   EXPECT_EQ(warm.variant, cold.variant);
   EXPECT_EQ(warm.invariant, cold.invariant);
   EXPECT_EQ(warm.sepsets, cold.sepsets);
   EXPECT_GE(warm.warm_reconfirmed, 1u);
 
-  // A warm run without a seed is exactly the cold run.
+  // Without a seed the same options run exactly the cold search.
   const causal::FNodeResult unseeded =
-      causal::find_intervention_targets(fx.source, fx.target, warm_o);
+      causal::find_intervention_targets(fx.source, fx.target, cold_o);
   EXPECT_EQ(unseeded.variant, cold.variant);
   EXPECT_EQ(unseeded.ci_tests_performed, cold.ci_tests_performed);
-}
-
-TEST(FnodeWarmStartTest, BudgetedModeReturnsCompletePartition) {
-  const FnodeFixture fx;
-  const causal::FNodeResult cold = causal::find_intervention_targets(
-      fx.source, fx.target, FnodeFixture::options());
-
-  causal::FNodeSeed seed;
-  seed.sepsets = cold.sepsets;
-  causal::FNodeOptions o = FnodeFixture::options();
-  o.warm = causal::WarmStart::Budgeted;
-  o.warm_budget = 2;
-  const causal::FNodeResult warm =
-      causal::find_intervention_targets(fx.source, fx.target, o, &seed);
-  EXPECT_EQ(warm.variant.size() + warm.invariant.size(), 6u);
-  EXPECT_GE(warm.warm_reconfirmed, 1u);
-  // The bounded search may deviate, but on this clear-cut fixture the
-  // strongly shifted features must still be detected.
-  for (std::size_t f : {std::size_t{1}, std::size_t{3}}) {
-    EXPECT_NE(std::find(warm.variant.begin(), warm.variant.end(), f),
-              warm.variant.end());
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -330,22 +307,21 @@ TEST(AdaptationBufferStatsTest, ClassStatsTrackScaledRingThroughEviction) {
   }
 }
 
-TEST(AdaptationBufferStatsTest, EnableStatsRebuildsFromBufferedRows) {
+TEST(AdaptationBufferStatsTest, EnableStatsOnNonEmptyBufferThrows) {
   common::Rng rng(8);
   data::MinMaxScaler scaler;
   scaler.fit(la::Matrix::randn(128, 4, rng));
 
-  // Rows ingested BEFORE enable_stats must be folded in by the rebuild.
+  // Statistics are built only incrementally, so rows ingested before
+  // enable_stats would be missing from them: the buffer refuses.
   core::AdaptationBuffer buf(32, 4, 2);
   const la::Matrix batch = la::Matrix::randn(24, 4, rng);
   std::vector<std::int64_t> labels(24);
   for (std::size_t r = 0; r < 24; ++r) labels[r] = r % 2;
   buf.ingest(batch, labels);
 
-  buf.enable_stats(&scaler);
-  double total = 0.0;
-  for (const auto& s : buf.class_stats()) total += s.weight();
-  EXPECT_DOUBLE_EQ(total, 24.0);
+  EXPECT_THROW(buf.enable_stats(&scaler), common::Error);
+  EXPECT_FALSE(buf.stats_enabled());
 }
 
 TEST(AdaptationBufferStatsTest, SnapshotIntoIsAllocationFlatWhenWarm) {
@@ -442,7 +418,7 @@ std::vector<std::int64_t> slice_labels(const std::vector<std::int64_t>& y,
   return out;
 }
 
-TEST(ReadaptPipelineTest, WarmContextReusesBuildsAndKeepsScalerBitwise) {
+TEST(ReadaptPipelineTest, WarmSwitchWarmStartsAndKeepsScalerBitwise) {
   const LoopFixture fx;
   core::FsGanPipeline pipeline = fx.make_pipeline(11);
   pipeline.train(fx.split.source_train, fx.shots);
@@ -452,24 +428,27 @@ TEST(ReadaptPipelineTest, WarmContextReusesBuildsAndKeepsScalerBitwise) {
   const la::Matrix mins = pipeline.scaler().mins();
   const la::Matrix maxs = pipeline.scaler().maxs();
 
-  const core::CandidateOutcome cold =
-      pipeline.build_candidate_generation(fx.shots, fast_fs());
+  // The default context is the cold build: even though the same few-shot
+  // rows reproduce the active partition, nothing warm-starts.
+  const core::CandidateOutcome cold = pipeline.build_candidate_generation(
+      fx.shots, fast_fs(), core::ReadaptContext{});
   ASSERT_NE(cold.generation, nullptr) << cold.reason;
+  EXPECT_EQ(cold.generation->separation.variant,
+            pipeline.active_generation()->separation.variant);
+  ASSERT_NE(cold.generation->reconstructor, nullptr);
+  EXPECT_FALSE(cold.generation->reconstructor->warm_started());
   EXPECT_TRUE(bitwise_equal(pipeline.scaler().mins(), mins));
   EXPECT_TRUE(bitwise_equal(pipeline.scaler().maxs(), maxs));
 
-  // Warm context against the active generation: the same few-shot rows
-  // reproduce the active partition, so the skeleton seed applies, the
-  // reconstructor warm-starts, and the assembly/drift-monitor are reused.
-  core::ReadaptContext ctx;
-  ctx.warm_skeleton = causal::WarmStart::Full;
-  ctx.warm_reconstructor = true;
-  ctx.reuse_builds = true;
-  const core::CandidateOutcome warm =
-      pipeline.build_candidate_generation(fx.shots, fast_fs(), ctx);
+  // The warm switch on the same shots: the partition is unchanged, so the
+  // skeleton seed applies and the reconstructor warm-starts.
+  const core::CandidateOutcome warm = pipeline.build_candidate_generation(
+      fx.shots, fast_fs(), core::ReadaptContext{.warm = true});
   ASSERT_NE(warm.generation, nullptr) << warm.reason;
   EXPECT_EQ(warm.generation->separation.variant,
             pipeline.active_generation()->separation.variant);
+  EXPECT_EQ(warm.generation->separation.invariant,
+            cold.generation->separation.invariant);
   ASSERT_NE(warm.generation->reconstructor, nullptr);
   EXPECT_TRUE(warm.generation->reconstructor->warm_started());
   EXPECT_TRUE(bitwise_equal(pipeline.scaler().mins(), mins));
