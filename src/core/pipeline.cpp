@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 
 #include "common/error.hpp"
+#include "common/heap.hpp"
 #include "common/logging.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/journal.hpp"
@@ -392,6 +393,7 @@ void FsGanPipeline::train(const data::Dataset& source,
                              "train");
   stamp_validation_accuracy(*gen, 0.0);
   registry_.publish(std::move(gen));
+  common::release_free_heap();
 }
 
 void FsGanPipeline::adapt_to_new_target(const data::Dataset& target_few_shot) {
@@ -432,11 +434,17 @@ void FsGanPipeline::adapt_to_new_target(const data::Dataset& target_few_shot) {
   stamp_validation_accuracy(
       *gen, previous != nullptr ? previous->validation_accuracy : 0.0);
   registry_.publish(std::move(gen));
+  common::release_free_heap();
 }
 
 CandidateOutcome FsGanPipeline::build_candidate_generation(
     const data::Dataset& target_few_shot, const causal::FNodeOptions& fs,
     const ReadaptContext& ctx) {
+  // Every exit, the early ones included, hands the search's and the
+  // refit's freed pages back (DESIGN.md §7); declared first, it runs last.
+  struct ReleaseOnExit {
+    ~ReleaseOnExit() { common::release_free_heap(); }
+  } release_on_exit;
   CandidateOutcome out;
   if (!trained_ || !options_.use_reconstruction) {
     out.reason = !trained_ ? "pipeline not trained"

@@ -149,6 +149,8 @@ class FsGanPipeline {
                 PipelineOptions options, std::uint64_t seed);
 
   /// Trains the full pipeline.  `target_few_shot` feeds only the FS step.
+  /// Like adapt_to_new_target and build_candidate_generation, it hands its
+  /// freed pages back to the kernel on return (common::release_free_heap).
   void train(const data::Dataset& source, const data::Dataset& target_few_shot);
 
   /// Re-runs FS + reconstructor against a new target distribution without
@@ -228,7 +230,8 @@ class FsGanPipeline {
   /// On failure `generation` is null and `reason` says why.  `ctx` selects
   /// the cold build (default) or the warm fast path.  Emits per-stage
   /// journal scopes (readapt.stats / readapt.search / readapt.refit /
-  /// readapt.compile) so recovery time decomposes in the flight recorder.
+  /// readapt.compile) so recovery time decomposes in the flight recorder,
+  /// and a heap.release scope on every exit.
   [[nodiscard]] CandidateOutcome build_candidate_generation(
       const data::Dataset& target_few_shot, const causal::FNodeOptions& fs,
       const ReadaptContext& ctx = {});

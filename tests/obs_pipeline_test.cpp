@@ -124,6 +124,12 @@ TEST(ObsPipelineTest, TrainAndPredictPopulateRegistry) {
   ASSERT_NE(recon, nullptr);
   EXPECT_NE(recon->child("cgan.fit"), nullptr);
   EXPECT_NE(train->child("pipeline.classifier_fit"), nullptr);
+  // train() hands its freed pages back as it returns and records the
+  // resident set it leaves (0 off Linux).
+  EXPECT_NE(train->child("heap.release"), nullptr);
+#if defined(__linux__)
+  EXPECT_GT(registry.gauge_value("process.rss_mb", -1.0), 0.0);
+#endif
   const obs::SpanSnapshot* predict = root.child("predict.batch");
   ASSERT_NE(predict, nullptr);
   EXPECT_EQ(predict->count, 1u);

@@ -6,16 +6,20 @@
 // call or a fit's holdout check may not size its scratch by its row count.
 // What remains after a call is measured with glibc's mallinfo2() in-use
 // byte counts; the high-water mark during a call, with a counting global
-// operator new/delete defined below.  Both are skipped off glibc and under
-// AddressSanitizer/ThreadSanitizer, whose allocators glibc does not see.
+// operator new/delete defined below; and the pages a training phase hands
+// back to the kernel, with RssAnon from /proc/self/status.  All are skipped
+// off glibc and under AddressSanitizer/ThreadSanitizer, whose allocators
+// glibc does not see.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -479,6 +483,96 @@ TEST(RetainedHeapTest, SecondTrainedPipelinePinsOnlyWhatItServes) {
   ASSERT_TRUE(second.is_trained());
   EXPECT_LT(heap_growth_mib(before), 2.5)
       << "a trained pipeline kept training or scoring scratch";
+}
+
+/// Anonymous resident memory of the process in MiB (RssAnon in
+/// /proc/self/status): heap arenas, mmapped blocks and touched thread
+/// stacks, free or not; 0 where the file cannot be read.
+double rss_anon_mib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("RssAnon:", 0) == 0) {
+      return std::stod(line.substr(8)) / 1024.0;  // the line is in kB
+    }
+  }
+  return 0.0;
+}
+
+/// Runs a cold re-adaptation of `pipeline` to `shots` on a fresh thread and
+/// joins it, as the drift worker does; returns the candidate.
+core::CandidateOutcome cold_refit_on_a_thread(core::FsGanPipeline& pipeline,
+                                              const data::Dataset& shots) {
+  core::CandidateOutcome out;
+  std::thread worker([&] {
+    out = pipeline.build_candidate_generation(shots, pipeline.options().fs);
+  });
+  worker.join();
+  return out;
+}
+
+// A refit on another thread allocates from a malloc arena of its own, so it
+// cannot reuse the pages that set-up freed on the main thread: unless set-up
+// hands them back, the process holds both phases' high-water pages at once.
+// train() and build_candidate_generation() each return their freed pages to
+// the kernel (common::release_free_heap), so after either the process keeps
+// little more than what the pipeline and its candidate pin.
+TEST(RetainedHeapTest, ColdRefitOnAWorkerThreadReturnsItsPages) {
+  SKIP_WITHOUT_HEAP_PROBE();
+  const data::Dataset source = make_data(41, 2000, false);
+  const data::Dataset shots = make_data(43, 60, true);
+  const data::Dataset drifted = make_data(45, 60, true);
+  // The first pipeline warms every process-wide structure.
+  core::FsGanPipeline first = make_pipeline(3);
+  first.train(source, shots);
+#if FSDA_HEAP_PROBE
+  malloc_trim(0);  // start from a heap that holds no free pages
+#endif
+  const double before = rss_anon_mib();
+  core::FsGanPipeline second = make_pipeline(5);
+  second.train(source, shots);
+  const double after_train = rss_anon_mib();
+  const core::CandidateOutcome candidate =
+      cold_refit_on_a_thread(second, drifted);
+  ASSERT_NE(candidate.generation, nullptr) << candidate.reason;
+  const double after_refit = rss_anon_mib();
+  ::testing::Test::RecordProperty("train_rss_anon_growth_mib",
+                                  std::to_string(after_train - before));
+  ::testing::Test::RecordProperty("refit_rss_anon_growth_mib",
+                                  std::to_string(after_refit - after_train));
+  // x86-64, glibc 2.36: set-up grows RssAnon by 0.6 MiB and the refit by
+  // 0.65 MiB.  Without the release at train()'s return set-up leaves
+  // 3.6-4.0 MiB resident; without the one at the refit's return the refit
+  // leaves 2.66 MiB.
+  EXPECT_LT(after_train - before, 2.0)
+      << "set-up kept its freed pages resident";
+  EXPECT_LT(after_refit - after_train, 1.5)
+      << "the refit kept its freed pages resident in its thread's arena";
+}
+
+// The cold refit's live-heap high-water mark above what the trained pipeline
+// holds: the F-node search's inputs and statistics, the reconstructor's
+// training footprint (networks, Adam moments, sentinel snapshot, packs and
+// step buffers) and the candidate generation it returns.  The bound is
+// 1.25x the 2.20 MiB measured when it was set (x86-64, glibc 2.36), so a
+// cut to the refit's footprint shows here as a lower number.
+TEST(PeakHeapTest, ColdRefitPeakIsPinned) {
+  SKIP_WITHOUT_HEAP_PROBE();
+  const data::Dataset source = make_data(41, 2000, false);
+  const data::Dataset shots = make_data(43, 60, true);
+  const data::Dataset drifted = make_data(45, 60, true);
+  core::FsGanPipeline pipeline = make_pipeline(5);
+  pipeline.train(source, shots);
+  // The first refit warms every process-wide structure the refit touches.
+  (void)pipeline.build_candidate_generation(drifted, pipeline.options().fs);
+  const std::size_t base = reset_heap_peak();
+  {
+    const core::CandidateOutcome candidate =
+        pipeline.build_candidate_generation(drifted, pipeline.options().fs);
+    ASSERT_NE(candidate.generation, nullptr) << candidate.reason;
+  }
+  EXPECT_LT(heap_peak_mib(base, "cold_refit"), 1.25 * 2.20)
+      << "the cold refit's live heap grew past its pinned high-water mark";
 }
 
 }  // namespace
