@@ -158,7 +158,7 @@ ServingStage AutoencoderReconstructor::serving_stage() {
   return {net_.get(), 0, nullptr, nullptr};
 }
 
-la::Matrix AutoencoderReconstructor::reconstruct(const la::Matrix& x_inv) {
+la::Matrix AutoencoderReconstructor::reconstruct(la::ConstMatrixView x_inv) {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_dim_);
   // Call-local scoring scratch, one row block deep (DESIGN.md §7).

@@ -34,7 +34,7 @@ class AutoencoderReconstructor : public Reconstructor {
   void fit(const la::Matrix& x_inv, const la::Matrix& x_var,
            const std::vector<std::int64_t>& labels,
            std::size_t num_classes) override;
-  la::Matrix reconstruct(const la::Matrix& x_inv) override;
+  la::Matrix reconstruct(la::ConstMatrixView x_inv) override;
   [[nodiscard]] std::string name() const override { return "VanillaAE"; }
   /// The network over x_inv alone: no noise block.
   [[nodiscard]] ServingStage serving_stage() override;

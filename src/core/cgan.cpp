@@ -259,20 +259,19 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   // The holdout runs through the training workspace in blocks of at most
   // `batch` rows, so scoring it never grows the step buffers; its whole
   // output is gathered before the one MSE, so the stop epoch is the same as
-  // for a single pass.
-  la::Matrix hold_inv;
+  // for a single pass.  Its rows are read in place, as strided views of the
+  // training inputs.
+  const std::size_t hold_stride = std::max<std::size_t>(1, n / 256);
+  const std::size_t hold_count = (n + hold_stride - 1) / hold_stride;
+  const la::ConstMatrixView hold_inv(x_inv.data().data(), hold_count,
+                                     inv_dim_, hold_stride * inv_dim_);
+  const la::ConstMatrixView hold_var(x_var.data().data(), hold_count,
+                                     var_dim_, hold_stride * var_dim_);
   la::Matrix hold_noise;
-  la::Matrix hold_var;
   la::Matrix hold_fake;
-  la::Matrix plateau_grad;
   {
-    const std::size_t stride = std::max<std::size_t>(1, n / 256);
-    std::vector<std::size_t> hold_rows;
-    for (std::size_t r = 0; r < n; r += stride) hold_rows.push_back(r);
-    la::select_rows_into(x_inv, hold_rows, hold_inv);
-    la::select_rows_into(x_var, hold_rows, hold_var);
     common::Rng hold_rng = rng_.split(0x401DULL);
-    sample_noise_into(hold_rows.size(), hold_noise, hold_rng);
+    sample_noise_into(hold_count, hold_noise, hold_rng);
   }
 
   // Hoisted once per fit; inc() per epoch is a gated atomic add.
@@ -399,7 +398,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
       }
       nn::forward_rows_into(*generator_, {hold_inv, hold_noise}, hold_fake,
                             b.ws, batch);
-      const double hold_mse = nn::mse_into(hold_fake, hold_var, plateau_grad);
+      const double hold_mse = nn::mse_value(hold_fake, hold_var);
       if (hold_mse < best_holdout - options_.plateau_min_delta) {
         best_holdout = hold_mse;
         plateau_streak = 0;
@@ -467,7 +466,7 @@ ServingStage ConditionalGAN::serving_stage() {
   return {generator_.get(), noise_dim_, &rng_, nullptr};
 }
 
-la::Matrix ConditionalGAN::reconstruct(const la::Matrix& x_inv) {
+la::Matrix ConditionalGAN::reconstruct(la::ConstMatrixView x_inv) {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_dim_);
   // Noise for every row is drawn first, in the order the stream has always

@@ -89,7 +89,7 @@ class ConditionalGAN : public Reconstructor {
            const std::vector<std::int64_t>& labels,
            std::size_t num_classes) override;
 
-  la::Matrix reconstruct(const la::Matrix& x_inv) override;
+  la::Matrix reconstruct(la::ConstMatrixView x_inv) override;
 
   [[nodiscard]] std::string name() const override {
     return options_.conditional ? "CGAN" : "NoCondGAN";

@@ -4,13 +4,15 @@
 
 #include "common/error.hpp"
 #include "la/kernels.hpp"
+#include "la/view.hpp"
 
 namespace fsda::core {
 
-void permute_corrupt_into(const la::Matrix& x, double p, common::Rng& rng,
-                          la::Matrix& out) {
+void permute_corrupt_into(la::ConstMatrixView x, double p, common::Rng& rng,
+                          la::MatrixView out) {
   FSDA_CHECK_MSG(p >= 0.0 && p < 1.0, "corruption probability out of [0,1)");
-  out.resize(x.rows(), x.cols());
+  FSDA_CHECK_MSG(!la::views_overlap(x, out),
+                 "permute_corrupt_into: source and destination overlap");
   la::copy_into(x, out);
   if (p == 0.0 || x.rows() < 2) return;
   // The rejection bound is hoisted out of the loop and the stream is drawn
@@ -20,12 +22,20 @@ void permute_corrupt_into(const la::Matrix& x, double p, common::Rng& rng,
   const std::uint64_t limit = common::Rng::index_limit(rows);
   common::Rng local = rng;
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    double* o = out.row(r).data();
+    double* o = out.row_data(r);
     for (std::size_t c = 0; c < x.cols(); ++c) {
-      if (local.bernoulli(p)) o[c] = x(local.uniform_index(rows, limit), c);
+      if (local.bernoulli(p)) {
+        o[c] = x.row_data(local.uniform_index(rows, limit))[c];
+      }
     }
   }
   rng = local;
+}
+
+void permute_corrupt_into(const la::Matrix& x, double p, common::Rng& rng,
+                          la::Matrix& out) {
+  out.resize(x.rows(), x.cols());
+  permute_corrupt_into(la::ConstMatrixView(x), p, rng, la::MatrixView(out));
 }
 
 la::Matrix permute_corrupt(const la::Matrix& x, double p, common::Rng& rng) {

@@ -17,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "la/matrix.hpp"
+#include "la/view.hpp"
 
 namespace fsda::core {
 
@@ -28,6 +29,12 @@ la::Matrix permute_corrupt(const la::Matrix& x, double p, common::Rng& rng);
 /// in place; a reused buffer makes the corruption allocation-free).
 void permute_corrupt_into(const la::Matrix& x, double p, common::Rng& rng,
                           la::Matrix& out);
+
+/// View form, the body of the one above: `out` has x's shape and does not
+/// overlap it; either may be a column block of a wider matrix.  Draws the
+/// same stream values as the Matrix form.
+void permute_corrupt_into(la::ConstMatrixView x, double p, common::Rng& rng,
+                          la::MatrixView out);
 
 /// Fault injection: each cell is, with probability p, replaced by NaN --
 /// the collector-dropped-a-sample failure mode.

@@ -266,7 +266,7 @@ void MeanImputeReconstructor::fit(const la::Matrix& x_inv,
   fitted_ = true;
 }
 
-la::Matrix MeanImputeReconstructor::reconstruct(const la::Matrix& x_inv) {
+la::Matrix MeanImputeReconstructor::reconstruct(la::ConstMatrixView x_inv) {
   la::Matrix out = la::Matrix::uninit(x_inv.rows(), var_means_.cols());
   impute_rows(x_inv, out);
   return out;

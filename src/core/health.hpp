@@ -201,7 +201,7 @@ class MeanImputeReconstructor : public Reconstructor {
            const std::vector<std::int64_t>& labels,
            std::size_t num_classes) override;
 
-  [[nodiscard]] la::Matrix reconstruct(const la::Matrix& x_inv) override;
+  [[nodiscard]] la::Matrix reconstruct(la::ConstMatrixView x_inv) override;
 
   /// reconstruct()'s body: writes each row of `x_inv`'s imputed variant
   /// block into `out`.  Const and stateless, so concurrent serving

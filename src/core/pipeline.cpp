@@ -136,6 +136,9 @@ std::shared_ptr<Reconstructor> FsGanPipeline::fit_reconstructor_for(
   if (sep.variant.empty() || sep.invariant.empty()) {
     return nullptr;  // nothing to reconstruct / condition on
   }
+  // Phase boundary (DESIGN.md §7): the caller's search and scaling scratch
+  // is freed by now, so the fit starts from a trimmed heap.
+  common::release_free_heap();
   common::Stopwatch timer;
   const la::Matrix x_inv = source_scaled_.select_cols(sep.invariant);
   const la::Matrix x_var = source_scaled_.select_cols(sep.variant);
@@ -308,6 +311,9 @@ void FsGanPipeline::train(const data::Dataset& source,
     // also sees the exact input distribution it will receive at inference
     // (implementation note in DESIGN.md).
     reconstructor = fit_reconstructor_for(sep, health_, seed_ ^ 0x6EC0ULL);
+    // Phase boundary: the fit's freed training scratch goes back before the
+    // classifier matrix is allocated beside it.
+    common::release_free_heap();
     trained_order_ = sep.invariant;
     trained_order_.insert(trained_order_.end(), sep.variant.begin(),
                           sep.variant.end());
@@ -330,20 +336,24 @@ void FsGanPipeline::train(const data::Dataset& source,
                      source_labels_.end());
     }
     if (reconstructor != nullptr) {
-      const la::Matrix x_inv = source_scaled_.select_cols(sep.invariant);
       // Reconstructed views with independent noise draws and lightly
       // corrupted invariant inputs, so the classifier sees the generator's
       // conditional spread AND stays calibrated for the minority of
-      // invariant features that may have drifted undetected.
+      // invariant features that may have drifted undetected.  Each view's
+      // invariant block is corrupted straight from the real block's
+      // invariant columns, and reconstructed from where it was written.
+      const std::size_t inv = sep.invariant.size();
+      const la::ConstMatrixView real_inv =
+          la::ConstMatrixView(x_train).row_block(0, n).col_block(0, inv);
       common::Rng view_rng(seed_ ^ 0x71E85ULL);
-      la::Matrix inv_view;
       for (std::size_t view = 0; view < views; ++view) {
-        permute_corrupt_into(x_inv, view == 0 ? 0.0 : 0.1, view_rng, inv_view);
         const la::MatrixView block =
             la::MatrixView(x_train).row_block((view + 1) * n, n);
-        la::copy_into(inv_view, block.col_block(0, inv_view.cols()));
-        la::copy_into(reconstructor->reconstruct(inv_view),
-                      block.col_block(inv_view.cols(), sep.variant.size()));
+        const la::MatrixView view_inv = block.col_block(0, inv);
+        permute_corrupt_into(real_inv, view == 0 ? 0.0 : 0.1, view_rng,
+                             view_inv);
+        la::copy_into(reconstructor->reconstruct(view_inv),
+                      block.col_block(inv, sep.variant.size()));
       }
     }
     classifier_timer.reset();

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "la/matrix.hpp"
+#include "la/view.hpp"
 
 namespace fsda::common {
 class Rng;
@@ -53,8 +54,9 @@ class Reconstructor {
                    std::size_t num_classes) = 0;
 
   /// Generates variant features for each row of x_inv (eq. 10).  Stochastic
-  /// reconstructors draw fresh noise per call.
-  [[nodiscard]] virtual la::Matrix reconstruct(const la::Matrix& x_inv) = 0;
+  /// reconstructors draw fresh noise per call.  `x_inv` may be a strided
+  /// view -- a column block of a wider matrix -- which is read in place.
+  [[nodiscard]] virtual la::Matrix reconstruct(la::ConstMatrixView x_inv) = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
 

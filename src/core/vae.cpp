@@ -230,7 +230,7 @@ ServingStage VaeReconstructor::serving_stage() {
   return {decoder_.get(), latent_dim_, &rng_, nullptr};
 }
 
-la::Matrix VaeReconstructor::reconstruct(const la::Matrix& x_inv) {
+la::Matrix VaeReconstructor::reconstruct(la::ConstMatrixView x_inv) {
   FSDA_CHECK_MSG(fitted_, "reconstruct before fit");
   FSDA_CHECK(x_inv.cols() == inv_dim_);
   // Every row's latent draw first, in the stream's order; the decoder then

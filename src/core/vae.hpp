@@ -41,7 +41,7 @@ class VaeReconstructor : public Reconstructor {
   void fit(const la::Matrix& x_inv, const la::Matrix& x_var,
            const std::vector<std::int64_t>& labels,
            std::size_t num_classes) override;
-  la::Matrix reconstruct(const la::Matrix& x_inv) override;
+  la::Matrix reconstruct(la::ConstMatrixView x_inv) override;
   [[nodiscard]] std::string name() const override { return "VAE"; }
   /// The decoder over [x_inv | z], latent_dim, and the VAE's own stream.
   [[nodiscard]] ServingStage serving_stage() override;

@@ -117,6 +117,24 @@ double mse_into(const la::Matrix& prediction, const la::Matrix& target,
   return loss / static_cast<double>(prediction.rows() * prediction.cols());
 }
 
+double mse_value(la::ConstMatrixView prediction, la::ConstMatrixView target) {
+  FSDA_CHECK_MSG(prediction.rows() == target.rows() &&
+                     prediction.cols() == target.cols(),
+                 "mse shape mismatch");
+  // Summed in row-major order, as mse_into sums, so the two agree bit for
+  // bit.
+  double loss = 0.0;
+  for (std::size_t r = 0; r < prediction.rows(); ++r) {
+    const double* p = prediction.row_data(r);
+    const double* t = target.row_data(r);
+    for (std::size_t c = 0; c < prediction.cols(); ++c) {
+      const double d = p[c] - t[c];
+      loss += d * d;
+    }
+  }
+  return loss / static_cast<double>(prediction.rows() * prediction.cols());
+}
+
 LossResult mse(const la::Matrix& prediction, const la::Matrix& target) {
   LossResult result;
   result.value = mse_into(prediction, target, result.grad);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "la/matrix.hpp"
+#include "la/view.hpp"
 
 namespace fsda::nn {
 
@@ -50,6 +51,9 @@ double bce_on_probs_into(const la::Matrix& probs,
 LossResult mse(const la::Matrix& prediction, const la::Matrix& target);
 double mse_into(const la::Matrix& prediction, const la::Matrix& target,
                 la::Matrix& grad);
+/// The same value as mse_into, without the gradient; either side may be a
+/// strided view.
+double mse_value(la::ConstMatrixView prediction, la::ConstMatrixView target);
 
 /// Gaussian VAE regularizer: KL(N(mu, sigma^2) || N(0, I)) batch mean, with
 /// gradients w.r.t. mu and log_var.

@@ -10,12 +10,15 @@
 #include "core/cgan.hpp"
 #include "core/corruption.hpp"
 #include "core/feature_separation.hpp"
+#include "core/health.hpp"
 #include "core/pipeline.hpp"
 #include "core/vae.hpp"
 #include "data/gen5gc.hpp"
 #include "data/scaler.hpp"
 #include "eval/metrics.hpp"
+#include "la/kernels.hpp"
 #include "la/stats.hpp"
+#include "la/view.hpp"
 #include "models/factory.hpp"
 
 namespace fsda::core {
@@ -141,6 +144,37 @@ TEST(CorruptionTest, PermuteMatchesUniformIndexReferenceLoop) {
   EXPECT_EQ(rng(), ref_rng());  // both streams consumed the same draws
 }
 
+TEST(CorruptionTest, ViewFormOnColumnBlocksMatchesMatrixForm) {
+  // Source and destination are column blocks of wider matrices; the view
+  // form writes only its block, with the Matrix form's values and draws.
+  common::Rng data_rng(8);
+  la::Matrix wide = la::Matrix::randn(96, 20, data_rng);
+  const la::ConstMatrixView block = la::ConstMatrixView(wide).col_block(5, 7);
+  la::Matrix compact(block.rows(), block.cols());
+  la::copy_into(block, compact);
+  for (const double p : {0.0, 0.3}) {
+    common::Rng matrix_rng(9);
+    common::Rng view_rng(9);
+    la::Matrix expected;
+    permute_corrupt_into(compact, p, matrix_rng, expected);
+    la::Matrix dest(96, 20, -7.0);
+    permute_corrupt_into(block, p, view_rng,
+                         la::MatrixView(dest).col_block(3, 7));
+    for (std::size_t r = 0; r < dest.rows(); ++r) {
+      for (std::size_t c = 0; c < dest.cols(); ++c) {
+        const double want = c >= 3 && c < 10 ? expected(r, c - 3) : -7.0;
+        ASSERT_EQ(dest(r, c), want) << "p " << p << " at (" << r << "," << c
+                                    << ")";
+      }
+    }
+    EXPECT_EQ(matrix_rng(), view_rng()) << "p " << p;
+  }
+  // Corrupting in place would read cells it has already overwritten.
+  EXPECT_THROW(permute_corrupt_into(la::ConstMatrixView(wide), 0.1, data_rng,
+                                    la::MatrixView(wide)),
+               common::InvariantError);
+}
+
 /// Shared fixture: a tiny separable reconstruction problem where
 /// x_var = 2 * x_inv[0] - x_inv[1] + small noise.
 struct ReconProblem {
@@ -219,6 +253,42 @@ TEST(AutoencoderTest, LearnsMapping) {
   AutoencoderReconstructor ae(3, 2, options, 9);
   ae.fit(problem.x_inv, problem.x_var, problem.labels, 2);
   EXPECT_LT(recon_rmse(ae, problem), 0.15);
+}
+
+// reconstruct() reads a strided view in place: on a column block of a wider
+// matrix it returns what it returns on a compact copy of that block, from the
+// same noise stream state.
+TEST(ReconstructTest, ColumnBlockViewMatchesCompactCopy) {
+  const ReconProblem problem = make_recon_problem(200, 10);
+  la::Matrix wide(problem.x_inv.rows(), 8, 0.5);
+  const la::MatrixView inv_block = la::MatrixView(wide).col_block(2, 3);
+  la::copy_into(problem.x_inv, inv_block);
+  const auto expect_same = [&](Reconstructor& model) {
+    model.fit(problem.x_inv, problem.x_var, problem.labels, 2);
+    common::Rng* stream = model.serving_stage().noise_stream;
+    const common::Rng saved = stream != nullptr ? *stream : common::Rng();
+    const la::Matrix from_copy = model.reconstruct(problem.x_inv);
+    if (stream != nullptr) *stream = saved;
+    const la::Matrix from_view = model.reconstruct(inv_block);
+    EXPECT_EQ(from_view, from_copy) << model.name();
+  };
+  CganOptions gan_options = CganOptions::quick();
+  gan_options.epochs = 3;
+  gan_options.hidden = {16, 16};
+  ConditionalGAN gan(3, 2, gan_options, 9);
+  expect_same(gan);
+  VaeOptions vae_options = VaeOptions::quick();
+  vae_options.epochs = 3;
+  vae_options.hidden = {16, 16};
+  VaeReconstructor vae(3, 2, vae_options, 9);
+  expect_same(vae);
+  AutoencoderOptions ae_options = AutoencoderOptions::quick();
+  ae_options.epochs = 3;
+  ae_options.hidden = {16, 16};
+  AutoencoderReconstructor ae(3, 2, ae_options, 9);
+  expect_same(ae);
+  MeanImputeReconstructor mean_impute;
+  expect_same(mean_impute);
 }
 
 TEST(PipelineTest, EndToEndBeatsDriftOnTiny5GC) {

@@ -296,14 +296,13 @@ TEST(PeakHeapTest, CganHoldoutLargerThanBatchPeaksNoHigher) {
       fit_peak_mib(inv_batch, var_batch, labels_batch, "batch_holdout");
   const double large_holdout =
       fit_peak_mib(inv_large, var_large, labels_large, "large_holdout");
-  // The extra rows' own fit-local matrices: the holdout's input, noise,
-  // target, output and MSE gradient, the one-hot labels and the shuffle
-  // order; plus 64 KiB of allocator rounding.
+  // The extra rows' own fit-local matrices: the holdout's noise and output
+  // (its input and target are views of the training rows), the one-hot
+  // labels and the shuffle order; plus 64 KiB of allocator rounding.
   const double extra_rows_mib =
       static_cast<double>((kLargeHoldout - kBatch) *
-                          ((kInv + kNoise + 3 * kVar + kClasses) *
-                               sizeof(double) +
-                           2 * sizeof(std::size_t))) /
+                          ((kNoise + kVar + kClasses) * sizeof(double) +
+                           sizeof(std::size_t))) /
           kMiB +
       1.0 / 16.0;
   EXPECT_LE(large_holdout, batch_holdout + extra_rows_mib)
@@ -573,6 +572,83 @@ TEST(PeakHeapTest, ColdRefitPeakIsPinned) {
   }
   EXPECT_LT(heap_peak_mib(base, "cold_refit"), 1.25 * 2.20)
       << "the cold refit's live heap grew past its pinned high-water mark";
+}
+
+/// A CGAN that restarts the live-heap high-water mark as its fit returns.
+class PeakResettingCgan : public core::ConditionalGAN {
+ public:
+  using core::ConditionalGAN::ConditionalGAN;
+  void fit(const la::Matrix& x_inv, const la::Matrix& x_var,
+           const std::vector<std::int64_t>& labels,
+           std::size_t num_classes) override {
+    core::ConditionalGAN::fit(x_inv, x_var, labels, num_classes);
+    (void)reset_heap_peak();
+  }
+};
+
+/// An MLP that, as its fit begins, stores in `*peak_mib` the high-water mark
+/// since the last reset above the bytes live then (`x_train`, `y_train` and
+/// what the pipeline already held).
+class PeakReadingMlp : public models::MLPClassifier {
+ public:
+  PeakReadingMlp(std::uint64_t seed, models::NeuralOptions options,
+                 double* peak_mib)
+      : models::MLPClassifier(seed, options), peak_mib_(peak_mib) {}
+  void fit(const la::Matrix& x, const std::vector<std::int64_t>& y,
+           std::size_t num_classes,
+           const std::vector<double>& weights) override {
+    if (peak_mib_ != nullptr) {
+      *peak_mib_ = heap_peak_mib(g_live_bytes.load(std::memory_order_relaxed),
+                                 "views_stage");
+    }
+    models::MLPClassifier::fit(x, y, num_classes, weights);
+  }
+
+ private:
+  double* peak_mib_;
+};
+
+// train()'s views stage: from the reconstructor fit's return to the
+// classifier fit, the live heap rises above the classifier's inputs only by
+// what one reconstruct() call holds (its output, its noise and one row
+// block of scratch).  Each view's invariant block is corrupted and
+// reconstructed in place in the classifier matrix; an `x_inv` copy of the
+// invariant columns or an `inv_view` staging matrix shows here.  The bound
+// is 1.25x the 0.79 MiB measured when it was set (x86-64, glibc 2.36); with
+// an `x_inv` copy put back the stage peaked at 1.18 MiB.
+TEST(PeakHeapTest, TrainViewsStagePeakIsPinned) {
+  SKIP_WITHOUT_HEAP_PROBE();
+  // Twice make_pipeline's rows and half its CGAN width, so the per-row
+  // matrices of the stage dominate the one row block of network scratch.
+  const data::Dataset source = make_data(41, 4000, false);
+  const data::Dataset shots = make_data(43, 60, true);
+  const auto probed_pipeline = [](std::uint64_t seed, double* peak_mib) {
+    models::NeuralOptions nopt;
+    nopt.hidden = {32};
+    nopt.epochs = 2;
+    core::CganOptions gopt;
+    gopt.epochs = 2;
+    gopt.hidden = {32, 32};
+    return core::FsGanPipeline(
+        [nopt, peak_mib](std::uint64_t s) {
+          return std::make_unique<PeakReadingMlp>(s, nopt, peak_mib);
+        },
+        [gopt](std::size_t inv, std::size_t var, std::uint64_t s) {
+          return std::make_unique<PeakResettingCgan>(inv, var, gopt, s);
+        },
+        core::PipelineOptions{}, seed);
+  };
+  // The first pipeline warms every process-wide structure.
+  core::FsGanPipeline first = probed_pipeline(3, nullptr);
+  first.train(source, shots);
+  double views_peak_mib = -1.0;
+  core::FsGanPipeline second = probed_pipeline(5, &views_peak_mib);
+  second.train(source, shots);
+  ASSERT_TRUE(second.is_trained());
+  ASSERT_GE(views_peak_mib, 0.0) << "the classifier fit was never reached";
+  EXPECT_LT(views_peak_mib, 1.25 * 0.79)
+      << "train()'s views stage held more than one reconstruct() call's "
+         "scratch above the classifier matrix";
 }
 
 }  // namespace
